@@ -39,12 +39,12 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
+from ..atomic import atomic_write_text
 from ..errors import LexError, ParseError, ReproError, SourceError
 from ..lang.parser import ParseResult, parse_program_ex
 from .deadcode import entry_function
@@ -143,18 +143,7 @@ class ArtifactStore:
             "sha256": self._digest(value),
             "value": value,
         }
-        blob = json.dumps(payload)
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=key[:16], suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp, self.path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(self.path(key), json.dumps(payload))
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,12 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from typing import Any, Dict, Optional
 
 import numpy as np
 
 from . import telemetry
+from .atomic import atomic_write_text
 
 #: environment variable naming the checkpoint directory (workers inherit)
 ENV_CHECKPOINT = "REPRO_CHECKPOINT"
@@ -185,19 +185,9 @@ class ChainCheckpoint:
         if self._broken:
             return
         payload = {"fingerprint": self.fingerprint, "state": state}
-        blob = json.dumps(payload)
-        directory = os.path.dirname(self.path)
         try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(blob)
-                os.replace(tmp, self.path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            atomic_write_text(self.path, json.dumps(payload))
         except OSError:
             # full disk / revoked permissions: checkpointing only ever
             # observes, so it must degrade silently rather than kill a

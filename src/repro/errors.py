@@ -133,8 +133,8 @@ class DatasetError(ReproError):
 
 
 class TaskTimeoutError(ReproError):
-    """Raised/recorded when an evaluation task exceeds its wall-clock
-    watchdog budget (``--task-timeout``) on every attempt."""
+    """Raised/recorded when a task overruns its wall-clock deadline: the
+    batch watchdog (``--task-timeout``) or a daemon request's deadline."""
 
 
 def failure_stage(exc: BaseException) -> str:

@@ -4,9 +4,9 @@ The paper's evaluation is a benchmark × method × mode grid (Table 1:
 10 programs × {Opt, BayesWC, BayesPC} × {data-driven, hybrid}).  Every
 cell is an independent :class:`EvalTask`; this module expands the grid,
 derives a deterministic per-task seed from ``(root_seed, benchmark,
-method, mode)``, executes the tasks — in-process for ``jobs=1``, on a
-``ProcessPoolExecutor`` otherwise — memoizes completed tasks in a
-content-addressed on-disk cache, and records per-task timing/RSS/retry
+method, mode)``, executes the tasks — in-process for ``jobs=1``, on the
+supervised worker pool of :mod:`repro.evalharness.pool` otherwise —
+memoizes completed tasks in a content-addressed on-disk cache, and records per-task timing/RSS/retry
 metadata in a structured metrics report.
 
 Layering: this module knows nothing about :class:`BenchmarkRun`
@@ -17,26 +17,27 @@ the canonical grid constants (:data:`METHODS`, :data:`MODES`) below.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import resource
 import signal
 import sys
-import tempfile
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import backoff, checkpoint, faultinject, telemetry
+from ..atomic import atomic_write_text
 from ..config import AnalysisConfig, DEFAULT_CONFIG
 from ..errors import LintError, ReproError, TaskTimeoutError, failure_stage
 from ..telemetry.console import get_console
@@ -647,19 +648,7 @@ class ResultCache:
             # parses-or-not unpredictably but always fails the checksum
             mid = len(blob) // 2
             blob = blob[:mid] + chr(ord(blob[mid]) ^ 0x01) + blob[mid + 1 :]
-        # atomic publish: unique temp file in the same directory, then
-        # rename — concurrent writers can race but never tear an entry
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=key[:16], suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp, final)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(final, blob)
 
     def wipe(self) -> int:
         """Delete all entries (plus orphaned temp and quarantined files);
@@ -809,30 +798,13 @@ class RunnerReport:
         }
 
     def write_metrics(self, path: os.PathLike) -> None:
-        """Atomically publish the metrics JSON (temp file + ``os.replace``).
+        """Atomically publish the metrics JSON.
 
         The runner's watchdog can kill the process at any moment; a plain
         ``write_text`` interrupted mid-write would leave a torn, unparsable
-        report, so this uses the same atomic-publish pattern as the result
-        cache.
+        report.
         """
-        final = Path(path)
-        blob = json.dumps(self.metrics_json(), indent=2)
-        fd, tmp = tempfile.mkstemp(
-            dir=final.parent if str(final.parent) else ".",
-            prefix=final.name,
-            suffix=".tmp",
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp, final)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, json.dumps(self.metrics_json(), indent=2))
 
 
 class EvalRunner:
@@ -840,18 +812,19 @@ class EvalRunner:
 
     ``jobs=1`` (the default) runs every task in the calling process —
     no pickling, plain tracebacks — so tests stay debuggable; ``jobs>1``
-    fans tasks out on a ``ProcessPoolExecutor`` that persists across
-    :meth:`run_tasks` calls.  Transient worker failures (a killed
-    worker, a poisoned pool) are retried with exponential backoff up to
-    ``max_retries`` times; deterministic analysis failures are captured
-    inside the worker and never retried.
+    fans tasks out on the supervised pool shared with the daemon
+    (:mod:`repro.evalharness.pool`), pulling cells only into free worker
+    slots.  Transient worker failures (a killed worker, a poisoned pool)
+    are retried with exponential backoff up to ``max_retries`` times;
+    deterministic analysis failures are captured inside the worker and
+    never retried.
 
-    ``task_timeout`` arms a per-task wall-clock watchdog: in serial mode
-    a ``SIGALRM`` timer interrupts the task; in pool mode an overdue
-    future's worker is killed, the pool is replaced, and unrelated
-    in-flight tasks are resubmitted without burning one of their
-    attempts.  A task that times out on every attempt is recorded with a
-    ``timeout`` outcome.  ``fail_fast`` aborts the whole run with a
+    ``task_timeout`` arms a per-attempt wall-clock watchdog, retried like
+    a crash: in serial mode a ``SIGALRM`` timer interrupts the task; in
+    pool mode an overdue cell's worker is killed with the pool, and
+    unrelated in-flight cells are resubmitted without burning one of
+    their attempts.  A task that times out on every attempt is recorded
+    with a ``timeout`` outcome.  ``fail_fast`` aborts the whole run with a
     :class:`ReproError` on the first failed cell instead of recording it.
 
     Durability: with a ``journal`` attached, every dispatch and every
@@ -861,7 +834,7 @@ class EvalRunner:
     SIGTERM into a *graceful shutdown*: dispatching stops, in-flight
     tasks get ``shutdown_grace`` seconds to drain, and :meth:`run_tasks`
     returns a partial report marked ``interrupted`` (a second signal
-    abandons in-flight work immediately).
+    abandons in-flight work immediately).  Pool workers ignore SIGINT.
     """
 
     def __init__(
@@ -890,7 +863,6 @@ class EvalRunner:
         self.shutdown_reason: Optional[str] = None
         self._shutdown = threading.Event()
         self._prev_handlers: Dict[int, Any] = {}
-        self._executor: Optional[ProcessPoolExecutor] = None
         self.history: List[Dict[str, Any]] = []  # all outcomes ever run
 
     # -- lifecycle ----------------------------------------------------------
@@ -903,9 +875,6 @@ class EvalRunner:
 
     def close(self) -> None:
         self.restore_signal_handlers()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
 
     # -- durability / shutdown ----------------------------------------------
 
@@ -953,19 +922,6 @@ class EvalRunner:
             signum, previous = self._prev_handlers.popitem()
             with contextlib.suppress(ValueError):  # not the main thread
                 signal.signal(signum, previous)
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._executor
-
-    def _reset_executor(self) -> None:
-        if self._executor is not None:
-            try:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self._executor = None
 
     # -- execution ----------------------------------------------------------
 
@@ -1153,173 +1109,116 @@ class EvalRunner:
             self._record(results, task, outcome, attempts)
         return results
 
-    def _kill_executor(self) -> None:
-        """Kill every pool worker outright and discard the executor.
-
-        Used when a worker hangs: ``shutdown`` alone would block on the
-        stuck process, so the workers are SIGKILLed first.
-        """
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        for process in list(getattr(executor, "_processes", {}).values()):
-            try:
-                process.kill()
-            except Exception:
-                pass
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-    def _drain_on_shutdown(
-        self,
-        not_done: Set[Future],
-        futures: Dict[Future, EvalTask],
-        attempts: Dict[EvalTask, int],
-        results: Dict[EvalTask, Dict[str, Any]],
-    ) -> None:
-        """Give in-flight futures ``shutdown_grace`` seconds, then kill.
-
-        Drained outcomes are recorded (and journalled) normally; tasks
-        still running at the deadline are abandoned — their journal
-        entries stay unfinished, so ``resume`` re-executes them.
-        """
-        deadline = time.monotonic() + self.shutdown_grace
-        while not_done:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            done, not_done = wait(
-                not_done, timeout=min(0.2, remaining), return_when=FIRST_COMPLETED
-            )
-            for future in done:
-                task = futures[future]
-                try:
-                    outcome = future.result()
-                except Exception:
-                    continue  # worker died mid-drain: resume will rerun it
-                self._record(results, task, outcome, attempts[task])
-        if not_done:
-            telemetry.counter("runner.shutdown_abandoned", len(not_done))
-            self._kill_executor()
-
     def _run_pool(self, tasks: Sequence[EvalTask]) -> Dict[EvalTask, Dict[str, Any]]:
+        """The callbacks run on the supervisor thread; fail-fast is re-raised
+        in this one."""
+        from .pool import PoolSupervisor  # the pool module imports this one
+
+        results: Dict[EvalTask, Dict[str, Any]] = {}
+        unresolved = len(tasks)
+        aborted: List[ReproError] = []
+        finished = threading.Event()
+
+        def on_start(cell: _Cell) -> bool:
+            if self._shutdown.is_set() or aborted:
+                return False  # dispatching stopped: the cell stays unjournalled
+            if self.journal is not None:
+                self.journal.task_start(cell.task.task_id, attempt=cell.attempts)
+            # parent-side chaos: the dispatcher signals itself mid-grid; our
+            # handler (if installed) runs on the main thread, so await it
+            fired = faultinject.fault_point(faultinject.PARENT_SIGNAL, cell.task.task_id)
+            if fired and self._prev_handlers:
+                self._shutdown.wait()
+            if self._shutdown.is_set():
+                return False
+            cell.submitted_at = time.time()
+            if self.task_timeout is not None:
+                cell.deadline = time.monotonic() + self.task_timeout
+            return True
+
+        def record(cell: _Cell, outcome: Dict[str, Any]) -> None:
+            nonlocal unresolved
+            unresolved -= 1
+            try:
+                self._record(results, cell.task, outcome, cell.attempts)
+            except ReproError as exc:  # fail-fast
+                aborted.append(exc)
+            if aborted or not unresolved:
+                finished.set()
+
+        def on_done(cell: _Cell, outcome: Dict[str, Any]) -> None:
+            # queue-wait: submission -> the worker actually starting
+            metrics = outcome.get("metrics") or {}
+            if "started_ts" in metrics:
+                queue_wait = max(0.0, metrics["started_ts"] - cell.submitted_at)
+                metrics["queue_wait_seconds"] = round(queue_wait, 6)
+                telemetry.gauge("runner.queue_wait_seconds", queue_wait, task=cell.task.task_id)
+            record(cell, outcome)
+
+        def on_fail(cell: _Cell, exc: BaseException) -> None:
+            if isinstance(exc, TaskTimeoutError):
+                if cell.attempts <= self.max_retries:
+                    supervisor.schedule_retry(cell)
+                    return
+                exc = self._timeout_error(cell.task)
+            record(cell, self._failure_outcome(cell.task, exc, cell.attempts))
+
+        supervisor = PoolSupervisor(
+            jobs=self.jobs,
+            queue=_CellQueue(_Cell(task) for task in tasks),
+            on_start=on_start,
+            on_done=on_done,
+            on_fail=on_fail,
+            max_retries=self.max_retries,
+            backoff_seconds=self.backoff_seconds,
+            task_fn=self.task_fn,
+        )
+        supervisor.start()
         try:
-            return self._run_pool_inner(tasks)
+            self._await_pool(supervisor, finished)
         except KeyboardInterrupt:
             # second signal (or bare Ctrl-C): abandon in-flight work but
             # still return what finished — it is already journalled
             self.request_shutdown("keyboard-interrupt")
-            self._kill_executor()
-            return getattr(self, "_pool_results", {})
-
-    def _run_pool_inner(self, tasks: Sequence[EvalTask]) -> Dict[EvalTask, Dict[str, Any]]:
-        results: Dict[EvalTask, Dict[str, Any]] = {}
-        self._pool_results = results
-        attempts: Dict[EvalTask, int] = {task: 0 for task in tasks}
-        queue = list(tasks)
-        while queue and not self._shutdown.is_set():
-            executor = self._ensure_executor()
-            futures: Dict[Future, EvalTask] = {}
-            deadlines: Dict[Future, float] = {}
-            submitted_at: Dict[Future, float] = {}
-            broken = False
-            for task in queue:
-                if self._shutdown.is_set():
-                    break
-                if self.journal is not None:
-                    self.journal.task_start(task.task_id, attempt=attempts[task])
-                # parent-side chaos: the dispatcher signals itself mid-grid
-                faultinject.fault_point(faultinject.PARENT_SIGNAL, task.task_id)
-                if self._shutdown.is_set():
-                    break
-                attempts[task] += 1
-                try:
-                    future = executor.submit(self.task_fn, task)
-                except Exception:  # pool already broken: resubmit next round
-                    broken = True
-                    attempts[task] -= 1
-                    break
-                futures[future] = task
-                submitted_at[future] = time.time()
-                if self.task_timeout is not None:
-                    deadlines[future] = time.monotonic() + self.task_timeout
-            # O(1) membership via task ids (EvalTask hashing walks the
-            # whole nested config dataclass — too hot for a rescan)
-            submitted_ids: Set[str] = {t.task_id for t in futures.values()}
-            retry: List[EvalTask] = [t for t in queue if t.task_id not in submitted_ids]
-            not_done = set(futures)
-            while not_done:
-                if self._shutdown.is_set():
-                    self._drain_on_shutdown(not_done, futures, attempts, results)
-                    return results
-                # cap the wait so a shutdown request is noticed promptly
-                timeout = 0.5
-                if deadlines:
-                    nearest = min(deadlines[f] for f in not_done)
-                    timeout = min(timeout, max(0.0, nearest - time.monotonic()))
-                done, not_done = wait(not_done, timeout=timeout, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = futures[future]
-                    try:
-                        outcome = future.result()
-                    except Exception as exc:
-                        broken = True
-                        if attempts[task] > self.max_retries:
-                            self._record(
-                                results, task, self._failure_outcome(task, exc, attempts[task]),
-                                attempts[task],
-                            )
-                        else:
-                            retry.append(task)
-                    else:
-                        # queue-wait: submission -> the worker actually
-                        # starting (pool backlog + pickling + fork cost)
-                        metrics = outcome.get("metrics") or {}
-                        if "started_ts" in metrics and future in submitted_at:
-                            queue_wait = max(
-                                0.0, metrics["started_ts"] - submitted_at[future]
-                            )
-                            metrics["queue_wait_seconds"] = round(queue_wait, 6)
-                            telemetry.gauge(
-                                "runner.queue_wait_seconds", queue_wait, task=task.task_id
-                            )
-                        self._record(results, task, outcome, attempts[task])
-                if deadlines and not_done:
-                    now = time.monotonic()
-                    overdue = {f for f in not_done if deadlines[f] <= now}
-                    if overdue:
-                        # a hung worker cannot be cancelled individually:
-                        # kill the whole pool, time out the overdue tasks,
-                        # and resubmit the innocent in-flight ones for free
-                        for future in overdue:
-                            task = futures[future]
-                            if attempts[task] > self.max_retries:
-                                self._record(
-                                    results, task,
-                                    self._failure_outcome(
-                                        task, self._timeout_error(task), attempts[task]
-                                    ),
-                                    attempts[task],
-                                )
-                            else:
-                                retry.append(task)
-                        for future in not_done - overdue:
-                            innocent = futures[future]
-                            attempts[innocent] -= 1  # not their fault
-                            retry.append(innocent)
-                        self._kill_executor()
-                        broken = True
-                        not_done = set()
-            queue = retry
-            if queue and not self._shutdown.is_set():
-                if broken:
-                    self._reset_executor()
-                self._backoff(
-                    max(attempts[t] for t in queue), min(t.seed for t in queue)
-                )
+        finally:
+            supervisor.abandon()
+        if aborted:
+            raise aborted[0]
         return results
+
+    def _await_pool(self, supervisor, finished: threading.Event) -> None:
+        """Wait for every cell; on a shutdown, drain in-flight cells for
+        ``shutdown_grace`` seconds (abandoned ones rerun on ``resume``)."""
+        while not finished.wait(0.1):  # signal handlers run in between
+            if self._shutdown.is_set():
+                leftovers = supervisor.drain(self.shutdown_grace)
+                if leftovers:
+                    telemetry.counter("runner.shutdown_abandoned", len(leftovers))
+                return
+
+
+@dataclass
+class _Cell:
+    """One grid cell as the pool supervisor sees it."""
+
+    task: EvalTask
+    attempts: int = 0
+    deadline: float = math.inf  # per-attempt watchdog, armed in on_start
+    submitted_at: float = 0.0
+
+
+class _CellQueue:
+    """Pending cells in grid order; nothing is added once the run starts."""
+
+    def __init__(self, cells) -> None:
+        self._cells = collections.deque(cells)
+
+    def pop(self, timeout: Optional[float] = None) -> Optional[_Cell]:
+        if self._cells:
+            return self._cells.popleft()
+        if timeout:
+            time.sleep(timeout)
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ asyncio HTTP/JSON API so many concurrent clients can request bounds:
   (and lets the daemon share its content-addressed result cache);
 * :mod:`repro.server.work` — the worker-side entry point (crosses the
   process pool);
-* :mod:`repro.server.pool` — the supervised ``ProcessPoolExecutor``:
-  deadline watchdog, kill-and-replace, innocent-request resubmission,
-  worker health pings;
 * :mod:`repro.server.core` — the sans-io daemon core tying admission,
-  pool, journal, cache, breaker and telemetry together;
+  the supervised worker pool it shares with ``bench --jobs N``
+  (:mod:`repro.evalharness.pool`: deadline watchdog, kill-and-replace,
+  innocent-request resubmission, worker health pings), journal, cache,
+  breaker and telemetry together;
 * :mod:`repro.server.app` — the asyncio HTTP front end (``POST
   /analyze``, ``GET /status/<id>``, ``GET /healthz``) and graceful
   SIGTERM drain (exit 75, like ``bench``);

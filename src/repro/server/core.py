@@ -37,8 +37,11 @@ from typing import Any, Dict, List, Optional
 
 from .. import telemetry
 from ..config import ExecutionBudget
+from ..errors import TaskTimeoutError
 from ..evalharness.journal import RunJournal, new_run_id
+from ..evalharness.pool import PoolSupervisor
 from ..evalharness.runner import ResultCache
+from . import work
 from .admission import (
     BoundedPriorityQueue,
     CircuitBreaker,
@@ -47,7 +50,6 @@ from .admission import (
     TokenBucketTable,
 )
 from .model import AnalyzeSpec, LintRejection, RequestRecord, SpecError, WorkItem
-from .pool import PoolSupervisor
 
 
 class AdmissionError(Exception):
@@ -137,6 +139,7 @@ class ServerCore:
             max_retries=config.max_retries,
             backoff_seconds=config.backoff_seconds,
             health_interval=config.health_interval,
+            task_fn=work.execute_request,
         )
         self.journal: Optional[RunJournal] = None
         self._records: "OrderedDict[str, RequestRecord]" = OrderedDict()
@@ -462,20 +465,27 @@ class ServerCore:
 
     # -- supervisor callbacks (pool thread) ---------------------------------
 
-    def _on_start(self, item: WorkItem) -> None:
+    def _on_start(self, item: WorkItem) -> bool:
+        if time.monotonic() >= item.deadline:
+            # the deadline is absolute: one that passed in the queue or in
+            # a retry backoff is terminal, and never worth a worker
+            self._on_fail(item, TaskTimeoutError("deadline expired before execution"))
+            return False
+        attempt = item.attempts + 1
         record = self.get(item.request_id)
         if record is not None:
-            record.start_attempt(item.attempts)
+            record.start_attempt(attempt)
         if self.journal is not None:
             self.journal.record(
                 {
                     "ev": "request-start",
                     "id": item.request_id,
                     "ts": time.time(),
-                    "attempt": item.attempts,
+                    "attempt": attempt,
                     "task": item.task.task_id,
                 }
             )
+        return True
 
     def _sampler_latency(self, outcome: Dict[str, Any]) -> float:
         metrics = outcome.get("metrics") or {}
@@ -535,7 +545,12 @@ class ServerCore:
         if record is not None:
             self._finish_from_outcome(record, outcome)
 
-    def _on_fail(self, item: WorkItem, kind: str, message: str) -> None:
+    def _on_fail(self, item: WorkItem, exc: BaseException) -> None:
+        # a timeout is terminal: the request's deadline is absolute
+        kind = "timeout" if isinstance(exc, TaskTimeoutError) else "crash"
+        message = str(exc) if kind == "timeout" else (
+            f"worker died after {item.attempts} attempt(s): {type(exc).__name__}: {exc}"
+        )
         # a timeout burned its whole deadline budget in a worker; bill it
         self.quotas.charge(
             item.tenant, item.budget_seconds if kind == "timeout" else 0.0

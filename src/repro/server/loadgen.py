@@ -27,13 +27,13 @@ import http.client
 import json
 import os
 import random
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
+from ..atomic import atomic_write_text
 from ..errors import ReproError
 
 #: taxonomy classes that mean "the daemon gave this request a terminal
@@ -313,7 +313,7 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
         ],
     }
     if config.out:
-        _write_atomic(config.out, report)
+        atomic_write_text(config.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if config.check:
         check_invariants(report)
     return report
@@ -335,18 +335,3 @@ def check_invariants(report: Dict[str, Any]) -> None:
     if problems:
         raise ReproError("soak invariants violated: " + "; ".join(problems))
 
-
-def _write_atomic(path: str, report: Dict[str, Any]) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise

@@ -1,7 +1,7 @@
-"""Worker-side entry points for the daemon's process pool.
+"""Worker-side entry point for the daemon's process pool.
 
 Everything here must stay module-level and picklable: it crosses the
-``ProcessPoolExecutor`` boundary.  :func:`execute_request` is a thin
+process boundary.  :func:`execute_request` is a thin
 shim over the batch harness's :func:`~repro.evalharness.runner.
 execute_task` — deliberately so: the daemon's workers run the *same*
 code path as ``bench``, with the same telemetry spans, checkpoint
@@ -12,46 +12,11 @@ plans written for the batch harness exercise the daemon unchanged.
 
 from __future__ import annotations
 
-import os
-import signal
-import time
 from typing import Any, Dict
 
 from ..evalharness.runner import EvalTask, execute_task
 
 
-def worker_init() -> None:
-    """Reset signal state a forked worker inherits from the daemon.
-
-    The daemon's asyncio loop installs SIGTERM/SIGINT handlers backed by
-    a ``signal.set_wakeup_fd`` self-pipe.  Fork-started workers inherit
-    both the handler and the *shared* pipe fd — so a SIGTERM delivered
-    to a worker (e.g. ``concurrent.futures``'s broken-pool cleanup calls
-    ``p.terminate()`` on the survivors) would write the signal number
-    into the parent's wakeup pipe and the parent's loop would dispatch
-    its own shutdown handler for a signal it never received.  Detaching
-    the wakeup fd and restoring default dispositions confines worker
-    signals to the worker.
-    """
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # non-main thread / closed fd: nothing to detach
-        pass
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
 def execute_request(task: EvalTask) -> Dict[str, Any]:
     """Run one admitted request's task in a pool worker."""
     return execute_task(task)
-
-
-def health_probe(token: int) -> Dict[str, Any]:
-    """A trivial round-trip proving the pool can still schedule work.
-
-    The supervisor submits one of these after an idle period; a probe
-    that fails or hangs means the pool is wedged (e.g. every worker
-    inherited a corrupted state or died behind our back) and triggers a
-    kill-and-replace before real work is routed into it.
-    """
-    return {"ok": True, "token": token, "pid": os.getpid(), "ts": time.time()}

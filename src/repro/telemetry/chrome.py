@@ -24,6 +24,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from ..atomic import atomic_write_text
 from . import TRACE_FILE_PREFIX, TRACE_FILE_SUFFIX
 
 #: microseconds per second (trace_event timestamps are in µs)
@@ -124,7 +125,5 @@ def write_chrome_trace(
     """
     document = chrome_trace(load_events(trace_dir))
     out = Path(out_path) if out_path is not None else Path(trace_dir) / "trace.json"
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    tmp.write_text(json.dumps(document))
-    os.replace(tmp, out)
+    atomic_write_text(out, json.dumps(document))
     return len(document["traceEvents"])

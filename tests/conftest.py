@@ -77,6 +77,48 @@ def spawn_daemon(tmp_path):
         proc.stderr.close()
 
 
+def _running(pid):
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:  # no procfs: os.kill already found the process
+        return True
+
+
+@pytest.fixture
+def surviving_pids():
+    """``surviving_pids(pids, timeout)`` waits up to ``timeout`` seconds for
+    every pid to exit and returns the ones still running; survivors are
+    SIGKILLed at teardown so a failing test leaks no process."""
+    import signal
+    import time
+
+    survivors = []
+
+    def _wait(pids, timeout):
+        deadline = time.monotonic() + timeout
+        alive = [pid for pid in pids if _running(pid)]
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.1)
+            alive = [pid for pid in alive if _running(pid)]
+        survivors.extend(alive)
+        return alive
+
+    yield _wait
+    for pid in survivors:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+
+
 @pytest.fixture(autouse=True)
 def _durable_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))

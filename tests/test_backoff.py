@@ -11,7 +11,7 @@ import json
 from repro import backoff
 from repro.evalharness.runner import EvalRunner, EvalTask, derive_seed
 from repro.server.model import WorkItem
-from repro.server.pool import PoolSupervisor
+from repro.evalharness.pool import PoolSupervisor
 
 
 def test_derive_u63_stable_and_63_bit():
@@ -84,7 +84,7 @@ def test_runner_and_pool_compute_identical_delays(monkeypatch):
         item = WorkItem(request_id="r1", task=task, deadline=1e18, priority=5,
                         attempts=attempt)
         before = backoff.time.monotonic()
-        supervisor._schedule_retry(item, charged=True)
+        supervisor.schedule_retry(item, charged=True)
         ts, _item = supervisor._delayed.pop()
         scheduled.append(ts - before)
 

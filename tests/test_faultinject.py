@@ -8,6 +8,7 @@ non-faulted cells stay byte-identical.
 """
 
 import json
+import multiprocessing
 import time
 
 import numpy as np
@@ -127,13 +128,21 @@ class TestWorkerCrash:
         others = [o for o in report.outcomes if o["task"] != victim["task"]]
         assert others and all(o["ok"] for o in others)
 
-    def test_fail_fast_aborts_on_first_failure(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_aborts_on_first_failure(self, jobs):
         faultinject.install(
             FaultPlan.parse("worker-crash:match=Round/data-driven/opt:count=-1")
         )
-        with EvalRunner(max_retries=0, backoff_seconds=0.0, fail_fast=True) as runner:
+        with EvalRunner(
+            jobs=jobs, max_retries=0, backoff_seconds=0.0, fail_fast=True
+        ) as runner:
             with pytest.raises(ReproError, match="fail-fast"):
                 runner.run_tasks(_tasks())
+        # the aborted run leaves no pool worker behind
+        deadline = time.monotonic() + 10
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
 
 
 class TestWatchdog:
@@ -179,6 +188,9 @@ class TestWatchdog:
         assert all(o["ok"] for o in report.outcomes)
         victim = report.outcome_by_id()["Round/data-driven/opt"]
         assert victim["metrics"]["attempts"] == 2
+        # killing the pool cost the innocent cells none of their attempts
+        others = [o for o in report.outcomes if o["task"] != victim["task"]]
+        assert others and all(o["metrics"]["attempts"] == 1 for o in others)
         assert elapsed < 60  # ≈ watchdog + backoff + rerun, not the 120 s hang
 
     def test_pool_mixed_crash_and_retry(self, tmp_path, monkeypatch):

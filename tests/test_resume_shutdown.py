@@ -22,6 +22,7 @@ from repro.cli import main
 from repro.config import AnalysisConfig
 from repro.errors import EXIT_INTERRUPTED
 from repro.evalharness import EvalRunner, RunJournal, expand_grid, replay
+from repro.evalharness.journal import JOURNAL_NAME
 from repro.suite import get_benchmark
 
 CONFIG = AnalysisConfig(num_posterior_samples=3, seed=0)
@@ -157,10 +158,10 @@ class TestPoolShutdown:
         journal = RunJournal(tmp_path / "r1")
         with EvalRunner(jobs=2, task_fn=fake_outcome, journal=journal) as runner:
 
-            def explode(_tasks):
+            def explode(*_args):
                 raise KeyboardInterrupt
 
-            runner._run_pool_inner = explode
+            runner._await_pool = explode
             report = runner.run_tasks(tasks)
         journal.close()
         assert report.interrupted
@@ -376,3 +377,89 @@ class TestSigkillSubprocess:
         )
         assert resume.returncode == 0, resume.stderr
         assert replay(tmp_path / "runs" / "k9").run_finished
+
+
+#: a pooled run in a process of its own, over the five ``_tasks()`` cells
+#: with a fake task that sleeps.  argv: run dir, a directory where each
+#: worker drops a file named after its pid, seconds per cell.
+POOLED_RUN = """
+import os, sys, time
+from repro.config import AnalysisConfig
+from repro.evalharness import EvalRunner, RunJournal, expand_grid
+from repro.suite import get_benchmark
+
+def slow_cell(task):
+    open(os.path.join(sys.argv[2], str(os.getpid())), "w").close()
+    time.sleep(float(sys.argv[3]))
+    return {"task": task.task_id, "kind": task.kind, "ok": True, "outcome": "ok",
+            "error": None, "result": {"cell": task.task_id, "seed": task.seed},
+            "verdict": None, "failure": None, "metrics": {"wall_seconds": 0.0}}
+
+config = AnalysisConfig(num_posterior_samples=3, seed=0)
+tasks = expand_grid([get_benchmark("MapAppend")], config, seed=0, methods=("opt", "bayeswc"))
+journal = RunJournal(sys.argv[1])
+with EvalRunner(jobs=2, task_fn=slow_cell, journal=journal) as runner:
+    runner.install_signal_handlers()
+    report = runner.run_tasks(tasks)
+journal.close()
+sys.exit(75 if report.interrupted else 0)
+"""
+
+
+@pytest.mark.slow
+class TestPooledRunSubprocess:
+    """Signals against a real pooled ``EvalRunner`` process."""
+
+    def _spawn(self, tmp_path, cell_seconds):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        env.pop(faultinject.ENV_SPEC, None)
+        (tmp_path / "pids").mkdir()
+        self.log = tmp_path / "run.log"
+        with open(self.log, "w") as log:
+            return subprocess.Popen(
+                [sys.executable, "-c", POOLED_RUN, str(tmp_path / "run"),
+                 str(tmp_path / "pids"), str(cell_seconds)],
+                env=env, stdout=log, stderr=subprocess.STDOUT,
+                start_new_session=True,
+            )
+
+    def _wait_for(self, proc, predicate, what):
+        deadline = time.monotonic() + 60
+        while not predicate():
+            if proc.poll() is not None or time.monotonic() > deadline:
+                proc.kill()
+                raise AssertionError(f"never saw {what}: {self.log.read_text()}")
+            time.sleep(0.05)
+
+    def test_process_group_sigint_drains_only_inflight_cells(self, tmp_path):
+        proc = self._spawn(tmp_path, cell_seconds=3)
+        journal = tmp_path / "run" / JOURNAL_NAME
+
+        def two_started():
+            return journal.exists() and journal.read_text().count('"task-start"') >= 2
+
+        self._wait_for(proc, two_started, "two dispatched cells")
+        os.killpg(proc.pid, signal.SIGINT)  # a terminal Ctrl-C hits the group
+        assert proc.wait(timeout=60) == EXIT_INTERRUPTED, self.log.read_text()
+        replayed = replay(tmp_path / "run")
+        assert replayed.shutdowns == ["signal:SIGINT"]
+        # only the two in-flight cells were dispatched, and both drained
+        assert len(replayed.started) == 2
+        assert set(replayed.completed_ok()) == set(replayed.started)
+        # the three queued cells were never started; a resume runs exactly them
+        counting = _InterruptOnNth(10**9)  # never fires, counts calls
+        with EvalRunner(task_fn=counting, journal=RunJournal(tmp_path / "run")) as runner:
+            runner.preload(replayed.completed_ok())
+            resumed = runner.run_tasks(_tasks())
+        assert counting.calls == 3
+        assert not resumed.interrupted and len(resumed.outcomes) == 5
+
+    def test_sigkilled_runner_takes_its_workers_along(self, tmp_path, surviving_pids):
+        proc = self._spawn(tmp_path, cell_seconds=120)
+        pid_dir = tmp_path / "pids"
+        self._wait_for(proc, lambda: len(os.listdir(pid_dir)) >= 2, "two busy workers")
+        workers = [int(name) for name in os.listdir(pid_dir)]
+        proc.kill()  # no drain, no pool shutdown
+        proc.wait(timeout=10)
+        assert surviving_pids(workers, timeout=10.0) == []

@@ -10,6 +10,7 @@ terminal state, and the daemon itself never dies.
 import http.client
 import json
 import signal
+import subprocess
 import time
 
 import pytest
@@ -140,6 +141,21 @@ def test_torn_cache_write_recovers_transparently(tmp_path, spawn_daemon):
     assert third[1]["state"] == "done"
     assert third[1]["cache_hit"] is True  # the rewrite was clean
     assert_no_request_dropped(tmp_path)
+
+
+def test_sigkilled_daemon_takes_its_workers_along(spawn_daemon, surviving_pids):
+    proc, port = spawn_daemon("--jobs", "2")
+    body = {"benchmark": "Round", "method": "conventional"}
+    status, doc = request(port, "POST", "/analyze?wait=1&timeout=90", body)
+    assert status == 200 and doc["state"] == "done", doc
+    listed = subprocess.run(
+        ["pgrep", "-P", str(proc.pid)], capture_output=True, text=True, check=True
+    )
+    workers = [int(pid) for pid in listed.stdout.split()]
+    assert workers
+    proc.send_signal(signal.SIGKILL)  # no drain, no pool shutdown
+    proc.wait(timeout=10)
+    assert surviving_pids(workers, timeout=10.0) == []
 
 
 def test_sigterm_drains_inflight_and_exits_75(tmp_path, spawn_daemon):
