@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .expr import LinExpr, as_expr
 from ..errors import LPError, ResourceLimitError
@@ -125,7 +126,8 @@ class LPProblem:
         """Merge another problem's variables and constraints into this one."""
         for name in other.variables:
             self.declare(name)
-        self.constraints.extend(other.constraints)
+        for con in other.constraints:
+            self._register(con)
 
     def copy(self) -> "LPProblem":
         clone = LPProblem(self.name, self.max_variables, self.max_constraints)
@@ -142,8 +144,13 @@ class LPProblem:
 
     def to_matrices(
         self, extra_vars: Sequence[str] = ()
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Dict[str, int]]:
+    ) -> Tuple[csr_matrix, np.ndarray, csr_matrix, np.ndarray, Dict[str, int]]:
         """Export as ``A_ub x <= b_ub``, ``A_eq x = b_eq`` over declared vars.
+
+        The matrices are canonical CSR (duplicates summed, explicit zeros
+        dropped, column indices sorted), assembled straight from each
+        constraint's ``lhs - rhs``: equal to ``csr_matrix`` of the dense
+        row-by-row export, without ever allocating rows × columns floats.
 
         Does NOT include the implicit non-negativity bounds; callers add
         them where needed (the solver passes bounds, the polytope module
@@ -156,22 +163,23 @@ class LPProblem:
             if name not in index:
                 index[name] = len(index)
         n = len(index)
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+        column = index.__getitem__
+        # per sense: column indices, values, row pointers, right-hand sides.
+        # A row is lhs.coeffs then -rhs.coeffs; _csr sums a variable that
+        # is on both sides, which is the float addition LinExpr subtraction
+        # does, so entries and constants are bit-identical to ``lhs - rhs``
+        parts = {"<=": ([], [], [0], []), "=": ([], [], [0], [])}
         for con in self.constraints:
-            row = np.zeros(n)
-            diff = con.lhs - con.rhs
-            for name, coef in diff.coeffs.items():
-                row[index[name]] = coef
-            if con.sense == "<=":
-                ub_rows.append(row)
-                ub_rhs.append(-diff.const)
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(-diff.const)
-        A_ub = np.array(ub_rows) if ub_rows else np.zeros((0, n))
-        b_ub = np.array(ub_rhs) if ub_rhs else np.zeros(0)
-        A_eq = np.array(eq_rows) if eq_rows else np.zeros((0, n))
-        b_eq = np.array(eq_rhs) if eq_rhs else np.zeros(0)
+            cols, vals, indptr, rhs = parts[con.sense]
+            left, right = con.lhs.coeffs, con.rhs.coeffs
+            cols.extend(map(column, left))
+            vals.extend(left.values())
+            cols.extend(map(column, right))
+            vals.extend([-coef for coef in right.values()])
+            indptr.append(len(cols))
+            rhs.append(-(con.lhs.const - con.rhs.const))
+        A_ub, b_ub = _csr(*parts["<="], n)
+        A_eq, b_eq = _csr(*parts["="], n)
         result = (A_ub, b_ub, A_eq, b_eq, index)
         if not extra_vars:
             self._matrix_cache = result
@@ -191,6 +199,17 @@ class LPProblem:
         lines = [f"LP {self.name}: {self.num_vars} vars, {len(self.constraints)} constraints"]
         lines += [f"  {con}" for con in self.constraints]
         return "\n".join(lines)
+
+
+def _csr(cols, vals, indptr, rhs, n: int) -> Tuple[csr_matrix, np.ndarray]:
+    """Canonical CSR rows from per-row (column, value) runs that may repeat a
+    column (a variable on both sides) or cancel to zero."""
+    data = np.array(vals, dtype=float)
+    indices = np.array(cols, dtype=np.intp)
+    matrix = csr_matrix((data, indices, np.array(indptr)), shape=(len(rhs), n))
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    return matrix, np.array(rhs, dtype=float)
 
 
 def validate_objective(problem: LPProblem, objective: LinExpr) -> None:

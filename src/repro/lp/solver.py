@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import OptimizeResult, linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from .expr import LinExpr
 from .problem import LPProblem
@@ -52,9 +52,7 @@ class LPSolution:
         return expr.evaluate(self.assignment)
 
 
-def _run_linprog(c, A_ub, b_ub, A_eq, b_eq, n, bounds=None, method="highs"):
-    if bounds is None:
-        bounds = [(0, None)] * n
+def _run_linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, method="highs"):
     if faultinject.fault_point(faultinject.LP_FAIL, method):
         return OptimizeResult(
             status=4,
@@ -62,20 +60,21 @@ def _run_linprog(c, A_ub, b_ub, A_eq, b_eq, n, bounds=None, method="highs"):
             fun=None,
             x=None,
         )
-    kwargs = dict(bounds=bounds, method=method)
-    A_ub_s = csr_matrix(A_ub) if A_ub.size else None
-    A_eq_s = csr_matrix(A_eq) if A_eq.size else None
+    # emptiness by row count: a sparse matrix's ``size`` is its nnz, so a
+    # constant-only row such as ``0 <= -1`` would otherwise vanish
+    has_ub, has_eq = A_ub.shape[0] > 0, A_eq.shape[0] > 0
     return linprog(
         c,
-        A_ub=A_ub_s,
-        b_ub=b_ub if A_ub_s is not None else None,
-        A_eq=A_eq_s,
-        b_eq=b_eq if A_eq_s is not None else None,
-        **kwargs,
+        A_ub=A_ub if has_ub else None,
+        b_ub=b_ub if has_ub else None,
+        A_eq=A_eq if has_eq else None,
+        b_eq=b_eq if has_eq else None,
+        bounds=bounds,
+        method=method,
     )
 
 
-def _solve_robust(c, A_ub, b_ub, A_eq, b_eq, n, bounds, context=""):
+def _solve_robust(c, A_ub, b_ub, A_eq, b_eq, bounds, context=""):
     """One LP solve with the numerical-failure fallback chain.
 
     Returns ``(result, extra_attempts)`` where ``result`` has a
@@ -87,16 +86,16 @@ def _solve_robust(c, A_ub, b_ub, A_eq, b_eq, n, bounds, context=""):
     result = None
     attempts = 0
     for method in FALLBACK_METHODS:
-        result = _run_linprog(c, A_ub, b_ub, A_eq, b_eq, n, bounds=bounds, method=method)
+        result = _run_linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, method=method)
         attempts += 1
         if result.status in _DEFINITIVE_STATUSES:
             return result, attempts - 1
-    if A_ub.size:
+    if A_ub.shape[0]:
         # last resort: loosen the inequality RHS by a deterministic hair —
         # strictly enlarges the feasible region, so a feasible problem
         # stays feasible and the optimum moves by O(1e-9)
         b_loose = b_ub + PERTURB_SCALE * (1.0 + np.abs(b_ub))
-        result = _run_linprog(c, A_ub, b_loose, A_eq, b_eq, n, bounds=bounds, method="highs")
+        result = _run_linprog(c, A_ub, b_loose, A_eq, b_eq, bounds, method="highs")
         attempts += 1
         if result.status in _DEFINITIVE_STATUSES:
             return result, attempts - 1
@@ -129,30 +128,26 @@ def solve_lexicographic(
     with telemetry.span("lp.solve", context=context, objectives=len(objectives)) as tspan:
         A_ub, b_ub, A_eq, b_eq, index = problem.to_matrices()
         n = len(index)
-        bounds = [(0.0, None)] * n
+        bounds = np.zeros((n, 2))
+        bounds[:, 1] = np.inf
         if pinned:
             for name, value in pinned.items():
                 if name not in index:
                     continue
-                lo = max(0.0, float(value) - pin_slack)
-                hi = float(value) + pin_slack
-                bounds[index[name]] = (lo, hi)
+                col = index[name]
+                bounds[col, 0] = max(0.0, float(value) - pin_slack)
+                bounds[col, 1] = float(value) + pin_slack
         objective_values: List[float] = []
         result = None
         fallbacks = 0
         iterations = 0
-
-        ub_rows = [A_ub] if A_ub.size else []
-        ub_rhs = [b_ub] if b_ub.size else []
 
         tspan.set(variables=n, constraints=int(A_ub.shape[0]) + int(A_eq.shape[0]))
         for stage, objective in enumerate(objectives):
             c = np.zeros(n)
             for name, coef in objective.coeffs.items():
                 c[index[name]] += coef
-            A_cur = np.vstack(ub_rows) if ub_rows else np.zeros((0, n))
-            b_cur = np.concatenate(ub_rhs) if ub_rhs else np.zeros(0)
-            result, extra = _solve_robust(c, A_cur, b_cur, A_eq, b_eq, n, bounds, context)
+            result, extra = _solve_robust(c, A_ub, b_ub, A_eq, b_eq, bounds, context)
             fallbacks += extra
             iterations += int(getattr(result, "nit", 0) or 0)
             if result.status == 2:
@@ -170,17 +165,20 @@ def solve_lexicographic(
             if stage < len(objectives) - 1:
                 # pin: objective <= opt (+ small slack for numerical robustness)
                 slack = STAGE_TOLERANCE * max(1.0, abs(stage_opt))
-                row = np.zeros(n)
-                for name, coef in objective.coeffs.items():
-                    row[index[name]] += coef
-                ub_rows.append(row.reshape(1, -1))
-                ub_rhs.append(np.array([stage_opt - objective.const + slack]))
+                A_ub = vstack([A_ub, _pin_row(c)], format="csr")
+                b_ub = np.append(b_ub, stage_opt - objective.const + slack)
 
         assert result is not None
         tspan.set(iterations=iterations, fallbacks=fallbacks)
         _lp_counters(n, iterations, fallbacks)
         assignment = {name: float(result.x[col]) for name, col in index.items()}
         return LPSolution(assignment, objective_values, fallbacks=fallbacks)
+
+
+def _pin_row(c: np.ndarray) -> csr_matrix:
+    """The objective vector ``c`` as one canonical CSR row."""
+    cols = np.flatnonzero(c)
+    return csr_matrix((c[cols], cols, [0, cols.size]), shape=(1, c.size))
 
 
 def _lp_counters(variables: int, iterations: int, fallbacks: int, infeasible: bool = False) -> None:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
+from .. import telemetry
 from ..errors import InferenceError
 from ..lp import LPProblem
 
@@ -78,6 +79,14 @@ class ReducedPolytope:
         return {name: float(v) for name, v in zip(self.names, x)}
 
 
+def _solve_lp(kind: str, c, **kwargs):
+    """One facial-reduction or warm-start LP, booked to the ``lp`` stage
+    (``kind`` says which).  Calls this module's ``linprog`` by name."""
+    telemetry.counter("lp.facial_solves", 1, kind=kind)
+    with telemetry.span("lp.facial", kind=kind, variables=len(c)):
+        return linprog(c, method="highs", **kwargs)
+
+
 def _reduce_once(A_ub, b_ub, A_eq, b_eq, n):
     """Eliminate equalities; returns (A_z, b_z, x0, N, kept_row_indices)."""
     if A_eq.size:
@@ -112,7 +121,7 @@ def _max_row_slack(A_sparse, b, row_vec, b_row, n):
     A_lp = sp_vstack([sp_hstack([A_sparse, csr_matrix((m, 1))]), extra], format="csr")
     b_lp = np.concatenate([b, [b_row]])
     bounds = [(None, None)] * n + [(None, 1.0)]
-    result = linprog(c, A_ub=A_lp, b_ub=b_lp, bounds=bounds, method="highs")
+    result = _solve_lp("row_slack", c, A_ub=A_lp, b_ub=b_lp, bounds=bounds)
     if result.status == 2:
         raise InferenceError("polytope is empty")
     if result.status != 0 or result.x is None:
@@ -137,7 +146,7 @@ def _max_sum_slack(A_sparse, b, rows, n, cap: float = 1.0):
     A_lp = sp_vstack([base, extra], format="csr")
     b_lp = np.concatenate([b, b[rows_arr]])
     bounds = [(None, None)] * n + [(0.0, cap)] * k
-    result = linprog(c, A_ub=A_lp, b_ub=b_lp, bounds=bounds, method="highs")
+    result = _solve_lp("sum_slack", c, A_ub=A_lp, b_ub=b_lp, bounds=bounds)
     if result.status == 2:
         raise InferenceError("polytope is empty")
     if result.status != 0 or result.x is None:
@@ -203,6 +212,10 @@ def polytope_from_lp(
     polytope samplers such as Volesti perform before reflective HMC.
     """
     A_ub, b_ub, A_eq, b_eq, index = problem.to_matrices(extra_vars=var_order or ())
+    # C0 is small (the suite's largest is a few thousand rows by a few
+    # hundred columns), and the reduction below is dense linear algebra
+    # (lstsq, null_space, row norms)
+    A_ub, A_eq = A_ub.toarray(), A_eq.toarray()
     names = [None] * len(index)
     for name, col in index.items():
         names[col] = name
@@ -249,7 +262,7 @@ def chebyshev_center(polytope: Polytope, radius_cap: float = 1e6):
     c[-1] = -1.0
     A_lp = np.hstack([A, norms.reshape(-1, 1)])
     bounds = [(None, None)] * n + [(0, radius_cap)]
-    result = linprog(c, A_ub=A_lp, b_ub=b, bounds=bounds, method="highs")
+    result = _solve_lp("chebyshev", c, A_ub=A_lp, b_ub=b, bounds=bounds)
     if result.status != 0 or result.x is None:
         raise InferenceError(f"Chebyshev center LP failed: {result.message}")
     center = result.x[:n]
@@ -281,7 +294,7 @@ def max_min_slack(polytope: Polytope, cap: float = 1.0, absolute: bool = False):
     c[-1] = -1.0
     A_lp = np.hstack([A, norms.reshape(-1, 1)])
     bounds = [(None, None)] * n + [(0, cap)]
-    result = linprog(c, A_ub=A_lp, b_ub=b, bounds=bounds, method="highs")
+    result = _solve_lp("min_slack", c, A_ub=A_lp, b_ub=b, bounds=bounds)
     if result.status != 0 or result.x is None:
         raise InferenceError(f"slack LP failed: {result.message}")
     return float(result.x[-1]), result.x[:n]
@@ -314,7 +327,7 @@ def low_norm_interior_point(
     b_shrunk = b - distance
     # minimize 1ᵀ x = 1ᵀ(x0 + N z): linear in z, bounded below since x ≥ 0
     c = reduced.affine.N.sum(axis=0)
-    result = linprog(c, A_ub=A, b_ub=b_shrunk, bounds=[(None, None)] * n, method="highs")
+    result = _solve_lp("low_norm", c, A_ub=A, b_ub=b_shrunk, bounds=[(None, None)] * n)
     if result.status != 0 or result.x is None:
         return witness
     return result.x

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InfeasibleError, LPError
+from repro.errors import InfeasibleError, LPError, ResourceLimitError
 from repro.lp import LPProblem, LinExpr, feasible_point, solve_lexicographic, solve_min
 
 coef = st.floats(-10, 10, allow_nan=False)
@@ -81,6 +81,30 @@ class TestLPProblem:
         q.add_ge(xq, 1)
         p.extend(q)
         assert len(p.constraints) == 1
+
+    def test_extend_invalidates_the_export(self):
+        p = LPProblem()
+        x = p.fresh("x")
+        p.add_le(x, 10)
+        p.to_matrices()  # cached
+        q = LPProblem()
+        q.declare_expr(x)
+        q.add_ge(x, 3)
+        p.extend(q)
+        assert p.to_matrices()[0].shape == (2, 1)
+        assert solve_min(p, x).value(x) == pytest.approx(3.0)
+
+    def test_extend_respects_the_constraint_budget(self):
+        p = LPProblem(max_constraints=2)
+        x = p.fresh("x")
+        p.add_le(x, 10)
+        q = LPProblem()
+        q.declare_expr(x)
+        q.add_ge(x, 1)
+        q.add_ge(x, 2)
+        with pytest.raises(ResourceLimitError):
+            p.extend(q)
+        assert len(p.constraints) == 2
 
     def test_matrices_shape(self):
         p = LPProblem()

@@ -239,6 +239,34 @@ class TestGoldenStability:
         assert load_events(tmp_path)  # tracing actually recorded something
 
 
+class TestFacialLPAttribution:
+    def test_hybrid_bayespc_books_facial_lps_under_lp(self, tmp_path, monkeypatch):
+        """The polytope module's facial-reduction and warm-start LPs run
+        inside posterior spans but are LP work: each is an ``lp.facial``
+        span (stage ``lp``) with an ``lp.facial_solves`` count."""
+        trace_dir = tmp_path / "trace"
+        monkeypatch.setenv(telemetry.ENV_TRACE, str(trace_dir))
+        tasks = [
+            task
+            for task in expand_grid([get_benchmark("Concat")], CONFIG, seed=0, methods=("bayespc",))
+            if task.task_id == "Concat/hybrid/bayespc"
+        ]
+        with EvalRunner() as runner:
+            report = runner.run_tasks(tasks)
+        assert [o["ok"] for o in report.outcomes] == [True]
+        events = load_events(trace_dir)
+        facial = [e for e in events if e["ev"] == "span" and e["name"] == "lp.facial"]
+        assert facial and {e["stage"] for e in facial} == {"lp"}
+        assert {"sum_slack", "min_slack", "low_norm"} <= {e["args"]["kind"] for e in facial}
+        summary = summarize_events(events)
+        assert summary.counters["lp.facial_solves"] == len(facial)
+        # leaf spans: their whole duration is LP self time in the cell
+        facial_s = sum(e["dur"] for e in facial)
+        lp_spans = [e for e in events if e["ev"] == "span" and e["stage"] == "lp"]
+        assert len(lp_spans) > len(facial)  # the AARA solves are there too
+        assert summary.cells["Concat/hybrid/bayespc"].stages["lp"] >= facial_s
+
+
 class TestSatellites:
     def test_max_rss_kb_platform_units(self):
         # Linux ru_maxrss is KiB; macOS reports bytes
