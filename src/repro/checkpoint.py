@@ -29,8 +29,9 @@ exactly, and numpy bit-generator states are plain int dicts), written
 atomically (unique temp file + ``os.replace``) so a kill mid-write can
 never tear a snapshot — the previous snapshot simply survives.  Each
 file embeds a *fingerprint* of the sampler configuration, the chain key,
-the start point, and the healing-restart index; a stale snapshot from a
-different configuration is ignored rather than trusted.
+the start point, the healing-restart index and any log-density fault
+plan; a stale snapshot from a different configuration is ignored rather
+than trusted.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from . import telemetry
+from . import faultinject, telemetry
 from .atomic import atomic_write_text
 
 #: environment variable naming the checkpoint directory (workers inherit)
@@ -208,7 +209,6 @@ def chain_cursor(
     key: Optional[str],
     config,
     start: np.ndarray,
-    engine: Optional[str] = None,
 ) -> Optional[ChainCheckpoint]:
     """A checkpoint cursor for one chain, or None when inactive.
 
@@ -216,12 +216,10 @@ def chain_cursor(
     (including the healing ``restart_index``, so each self-healing
     attempt gets its own snapshot file) and a hash of the start point;
     the file name is a digest of the fingerprint, so mismatched
-    configurations can never clobber each other's snapshots.  When the
-    caller passes its sampler ``engine`` name (``batched``/``perchain``)
-    it joins the fingerprint too: the engines produce bit-identical
-    chains, but a resume must still never silently mix engine labels —
-    diagnosing a cross-engine discrepancy requires knowing which engine
-    produced every draw of a chain.
+    configurations can never clobber each other's snapshots.  The
+    ``nan-logdensity`` clauses of the active fault plan join it too: a
+    chain run under injected NaNs draws different bits, so a clean rerun
+    must never replay its snapshots (nor a faulted rerun a clean chain's).
     """
     if key is None or _dir is None or _task_dir is None:
         return None
@@ -230,8 +228,9 @@ def chain_cursor(
         "start_sha": array_sha(start),
         "config": dataclasses.asdict(config),
     }
-    if engine is not None:
-        fingerprint["engine"] = engine
+    faults = faultinject.site_clauses(faultinject.NAN_LOGDENSITY)
+    if faults:
+        fingerprint["faults"] = faults
     digest = hashlib.sha256(
         json.dumps(fingerprint, sort_keys=True, default=str).encode()
     ).hexdigest()[:24]

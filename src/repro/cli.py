@@ -564,11 +564,6 @@ def cmd_bench(args) -> int:
         return _bench_resume(args)
     if args.faults:
         _activate_faults(args.faults)
-    if args.sampler_engine:
-        # exported (not just recorded) so pool workers inherit the engine
-        from .stats.engine import ENV_SAMPLER
-
-        os.environ[ENV_SAMPLER] = args.sampler_engine
     if args.benchmark == "all":
         specs = all_benchmarks()
     else:
@@ -600,7 +595,6 @@ def cmd_bench(args) -> int:
                 "cache": args.cache,
                 "task_timeout": args.task_timeout,
                 "fail_fast": args.fail_fast,
-                "sampler_engine": args.sampler_engine,
             },
             signature=run_signature(
                 config, args.seed, methods, [s.name for s in specs]
@@ -996,14 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-journal",
         action="store_true",
         help="disable the write-ahead run journal (run is not resumable)",
-    )
-    bench.add_argument(
-        "--sampler-engine",
-        choices=["batched", "perchain"],
-        default=None,
-        help="pin the MCMC sampler engine for this run (and its workers); "
-        "default: $REPRO_SAMPLER or 'batched'.  Both engines draw "
-        "bit-identical chains — this only changes execution layout",
     )
     bench.add_argument("--metrics", default=None, help="write per-task metrics JSON here")
     bench.add_argument(

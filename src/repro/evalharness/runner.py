@@ -768,12 +768,9 @@ class RunnerReport:
         for entry in entries:
             for stage, seconds in (entry.get("stages") or {}).items():
                 stage_totals[stage] = stage_totals.get(stage, 0.0) + float(seconds)
-        from ..stats import engine as sampler_engine
-
         return {
             "version": 2,
             "jobs": self.jobs,
-            "sampler_engine": sampler_engine.current(),
             "wall_seconds": self.wall_seconds,
             "interrupted": self.interrupted,
             "tasks": entries,

@@ -94,7 +94,7 @@ import hashlib
 import os
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -331,6 +331,14 @@ def fault_point(site: str, key: str = "") -> bool:
         os.kill(os.getpid(), signum)
         return True
     return True
+
+
+def site_clauses(site: str) -> List[dict]:
+    """The active plan's clauses for ``site``, as JSON-safe dicts."""
+    plan = active_plan()
+    if plan is None:
+        return []
+    return [asdict(c) for c in plan.clauses if c.site == site]
 
 
 def wrap_logdensity(fn: Callable, key: str = "") -> Callable:

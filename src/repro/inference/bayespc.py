@@ -182,7 +182,7 @@ class ScaledReducedDensity(BatchedDensity):
         ∇y = Neffᵀ·∇x_prior + Weffᵀ·row_grad
 
     All matvecs go through :func:`repro.stats.densities.rowmat` so every
-    row is bit-stable under batching — the engine-equivalence contract.
+    row is bit-stable under batching — the lockstep sampler's contract.
     """
 
     def __init__(self, density: BayesPCDensity, affine, scales: np.ndarray):

@@ -162,7 +162,7 @@ class SurvivalModel:
         return loglik + logprior, grad
 
     def batched_density(self) -> "SurvivalDensity":
-        """Precompiled batched log-density for the sampler engines."""
+        """Precompiled batched log-density for the lockstep sampler."""
         return SurvivalDensity(self)
 
     def standardize(self, raw_features: np.ndarray) -> np.ndarray:
@@ -181,7 +181,7 @@ class SurvivalDensity(BatchedDensity):
     fixed count of numpy dispatches — the per-step cost of the samplers
     is dispatch-bound at these data sizes, so fusing the model into one
     batched evaluation (instead of one scalar closure call per chain) is
-    where the lockstep engine's speedup comes from.  All reductions are
+    where the lockstep sampler's speedup comes from.  All reductions are
     last-axis sums over precomputed transposed factors, keeping every row
     bit-stable under batching (see :mod:`repro.stats.densities`); the
     row-loop scalar method :meth:`SurvivalModel.logdensity_and_grad` is

@@ -1,9 +1,8 @@
 """Bayesian inference substrate: distributions, HMC, polytope samplers."""
 
+from .batched import spawn_streams
 from .densities import BatchedDensity, LoopDensity, as_batched
 from .diagnostics import effective_sample_size, percentile_bands, split_rhat
-from .engine import BATCHED, ENV_SAMPLER, PERCHAIN, spawn_streams
-from .engine import current as current_engine
 from .distributions import (
     GumbelMin,
     HalfNormal,
@@ -13,7 +12,7 @@ from .distributions import (
     sample_truncated,
     truncated_logpdf,
 )
-from .hmc import HMCConfig, HMCResult, hmc_sample, hmc_sample_chains, leapfrog
+from .hmc import HMCConfig, HMCResult, hmc_sample, hmc_sample_chains
 from .nuts import nuts_sample, nuts_sample_chains
 from .polytope import (
     AffineMap,
@@ -34,11 +33,7 @@ __all__ = [
     "BatchedDensity",
     "LoopDensity",
     "as_batched",
-    "BATCHED",
-    "ENV_SAMPLER",
-    "PERCHAIN",
     "spawn_streams",
-    "current_engine",
     "effective_sample_size",
     "percentile_bands",
     "split_rhat",
@@ -53,7 +48,6 @@ __all__ = [
     "HMCResult",
     "hmc_sample",
     "hmc_sample_chains",
-    "leapfrog",
     "nuts_sample",
     "nuts_sample_chains",
     "AffineMap",

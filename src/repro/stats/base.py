@@ -1,11 +1,9 @@
-"""Shared sampler substrate: configs, results, healing, legacy kernels.
+"""Shared sampler substrate: configs, results, healing, chain aggregation.
 
-Split out of ``hmc.py`` so that the batched engine core
-(:mod:`repro.stats.batched`) and the per-sampler adapter modules
-(``hmc.py``, ``nuts.py``, ``reflective_hmc.py``) can share the
-config/result dataclasses and the self-healing restart driver without a
-circular import.  The public names are still re-exported from their
-historical homes.
+Split out so that the lockstep core (:mod:`repro.stats.batched`) and the
+per-sampler modules (``hmc.py``, ``nuts.py``, ``reflective_hmc.py``) can
+share the config/result dataclasses, the self-healing restart schedule and
+the multi-chain aggregation without a circular import.
 """
 
 from __future__ import annotations
@@ -60,23 +58,15 @@ class HMCResult:
 
 
 @dataclass
-class ReflectiveHMCResult:
-    samples: np.ndarray
-    accept_rate: float
-    step_size: float
-    n_reflections: int
-    #: post-warmup iterations whose proposal was rejected outright
-    divergences: int = 0
-    #: self-healing restarts spent producing this result
-    retries: int = 0
-    #: per-chain diagnostics when this result aggregates several chains
-    chain_diagnostics: List[Dict[str, float]] = field(default_factory=list)
+class ReflectiveHMCResult(HMCResult):
+    #: wall reflections, summed over iterations (and chains)
+    n_reflections: int = 0
 
 
 class _DualAveraging:
     """Nesterov dual averaging of log step size (Hoffman & Gelman 2014).
 
-    Scalar variant, used by the NUTS chain loop; the lockstep engine uses
+    Scalar variant, used by the NUTS chain loop; the lockstep sampler uses
     the vectorized :class:`repro.stats.batched._BatchedDualAveraging`.
     """
 
@@ -123,72 +113,6 @@ class _DualAveraging:
             setattr(self, name, value)
 
 
-def leapfrog(
-    position: np.ndarray,
-    momentum: np.ndarray,
-    grad: np.ndarray,
-    step_size: float,
-    n_steps: int,
-    logdensity_and_grad: LogDensityAndGrad,
-):
-    """Standard leapfrog integration; returns (q, p, logp, grad).
-
-    Scalar variant (one chain); the engines integrate whole batches via
-    :func:`repro.stats.batched.leapfrog_batch`.
-    """
-    q = position.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = momentum + 0.5 * step_size * grad
-        logp = -np.inf
-        g = grad
-        for step in range(n_steps):
-            q = q + step_size * p
-            if not np.all(np.isfinite(q)):
-                return q, p, -np.inf, g
-            logp, g = logdensity_and_grad(q)
-            if not np.all(np.isfinite(g)) or not np.isfinite(logp):
-                return q, p, -np.inf, g
-            if step < n_steps - 1:
-                p = p + step_size * g
-        p = p + 0.5 * step_size * g
-    return q, p, logp, g
-
-
-def _find_initial_step_unconstrained(
-    logdensity_and_grad: LogDensityAndGrad,
-    q: np.ndarray,
-    logp: float,
-    grad: np.ndarray,
-    rng: np.random.Generator,
-    start: float,
-) -> float:
-    """Stan's heuristic: scale the step so one leapfrog step accepts ≈ 1/2."""
-    step = start
-    momentum = rng.normal(size=q.size)
-    h0 = -logp + 0.5 * float(momentum @ momentum)
-
-    def accept_prob(step_size: float) -> float:
-        qn, pn, lpn, _gn = leapfrog(
-            q.copy(), momentum.copy(), grad, step_size, 1, logdensity_and_grad
-        )
-        if not np.isfinite(lpn):
-            return 0.0
-        h1 = -lpn + 0.5 * float(pn @ pn)
-        return math.exp(min(0.0, h0 - h1))
-
-    a = accept_prob(step)
-    direction = 1 if a > 0.5 else -1
-    for _ in range(60):
-        step_next = step * (2.0 if direction == 1 else 0.5)
-        a_next = accept_prob(step_next)
-        if (direction == 1 and a_next < 0.5) or (direction == -1 and a_next > 0.5):
-            return step_next if direction == -1 else step
-        step = step_next
-        if step < 1e-14 or step > 1e6:
-            break
-    return step
-
-
 def sample_with_healing(sample_fn, config, rng):
     """Run one chain with bounded self-healing restarts.
 
@@ -201,11 +125,11 @@ def sample_with_healing(sample_fn, config, rng):
     ``sample_fn`` exactly once with the unmodified config, so fault-free
     runs consume the rng stream identically to the pre-healing code.
 
-    The lockstep engine runs attempt 0 for all chains in one batch and
+    The lockstep sampler runs attempt 0 for all chains in one batch and
     feeds each chain's outcome to :func:`heal_continue`, which applies
-    the identical restart schedule — so healing behaves the same under
-    both engines (each restart's checkpoint fingerprint is keyed by the
-    config's ``restart_index`` *and* the engine name; see
+    the identical restart schedule — so a chain heals the same in a
+    batch as alone (each restart's checkpoint fingerprint is keyed by
+    the config's ``restart_index``; see
     :func:`repro.checkpoint.chain_cursor`).
 
     Raises :class:`SamplerDivergenceError` when every restart still
@@ -258,31 +182,43 @@ def heal_continue(sample_fn, config, rng, result, error):
     )
 
 
-def count_gradient_evals(logdensity_and_grad: LogDensityAndGrad):
-    """Observation-only wrapper counting calls; rng streams are untouched.
+def combine_chains(kind: str, results, grad_evals, tspan):
+    """Concatenate per-chain results into one result for the cell.
 
-    Returns ``(wrapped, counts)`` where ``counts[0]`` is the running call
-    count.  Applied only when telemetry is enabled, so the disabled path
-    pays nothing (not even an extra frame per gradient evaluation).
+    Also reports the run on ``tspan`` and as ``sampler.*`` telemetry
+    (``sampler=kind``); ``grad_evals`` is a one-element count list, or
+    None when telemetry is off.
     """
-    counts = [0]
-
-    def wrapped(q: np.ndarray) -> Tuple[float, np.ndarray]:
-        counts[0] += 1
-        return logdensity_and_grad(q)
-
-    return wrapped, counts
-
-
-def _sampler_counters(
-    kind: str,
-    accept_rate: float,
-    divergences: int,
-    retries: int,
-    leapfrog_steps: int,
-    grad_evals,
-) -> None:
-    """Shared per-run sampler metrics (used by HMC, NUTS and reflective HMC)."""
+    divergences = sum(r.divergences for r in results)
+    retries = sum(r.retries for r in results)
+    leapfrog_steps = sum(r.leapfrog_steps for r in results)
+    accept_rate = float(np.mean([r.accept_rate for r in results]))
+    diagnostics = [
+        {
+            "chain": float(chain_index),
+            "divergences": float(r.divergences),
+            "retries": float(r.retries),
+            "step_size": float(r.step_size),
+            "accept_rate": float(r.accept_rate),
+        }
+        for chain_index, r in enumerate(results)
+    ]
+    combined = type(results[0])(
+        np.concatenate([r.samples for r in results], axis=0),
+        accept_rate,
+        0.0,
+        np.concatenate([r.logdensities for r in results]),
+        divergences=divergences,
+        retries=retries,
+        leapfrog_steps=leapfrog_steps,
+        chain_diagnostics=diagnostics,
+    )
+    attrs = {"chains": len(results), "divergences": divergences, "retries": retries}
+    reflections = 0
+    if isinstance(combined, ReflectiveHMCResult):
+        reflections = combined.n_reflections = sum(r.n_reflections for r in results)
+        attrs["reflections"] = reflections
+    tspan.set(**attrs)
     telemetry.gauge("sampler.accept_rate", round(accept_rate, 4), sampler=kind)
     if leapfrog_steps:
         telemetry.counter("sampler.leapfrog_steps", leapfrog_steps, sampler=kind)
@@ -292,3 +228,6 @@ def _sampler_counters(
         telemetry.counter("sampler.divergences", divergences, sampler=kind)
     if retries:
         telemetry.counter("sampler.healing_restarts", retries, sampler=kind)
+    if reflections:
+        telemetry.counter("sampler.reflections", reflections, sampler=kind)
+    return combined

@@ -1,4 +1,11 @@
-"""Lockstep batched core for the HMC-family samplers.
+"""Lockstep sampler core: one leapfrog kernel and one chain loop.
+
+BayesWC's survival posterior is sampled with plain HMC (Eq. 5.12) and
+BayesPC's polytope with reflective HMC (Remark 5.3): the same leapfrog
+algorithm, without and with facets.  Both run here.  The kernel
+(:func:`leapfrog_batch`) and the chain loop (:func:`attempt`) take an
+optional :class:`BatchedDriftEngine`; ``None`` means free flight, which
+is plain HMC.
 
 All chains of a cell are stacked into ``(n_chains, dim)`` state arrays and
 advanced together: momentum draws, leapfrog integration, reflection off
@@ -7,10 +14,10 @@ adaptation all run as batched array ops, and the log-density + gradient
 closure is evaluated once per step for the whole batch (see
 :mod:`repro.stats.densities`).
 
-**Bit-identity contract.**  The ``perchain`` engine runs the *same* code
-with batches of size one, and the two engines must produce bit-identical
-draws chain-for-chain.  Everything here is therefore built from
-batch-size-stable primitives only:
+**Batch-size stability.**  A chain's draws must not depend on what else
+sits in its batch: chain ``i`` of a lockstep batch is bit-identical to the
+same chain run alone as a batch of one.  Everything here is therefore
+built from batch-size-stable primitives only:
 
 * elementwise ufuncs and per-row gathers/scatters — trivially stable;
 * reductions always along the **last** axis (``(x * y).sum(axis=-1)``),
@@ -18,24 +25,23 @@ batch-size-stable primitives only:
   rows — verified by property tests;
 * no BLAS in any value-producing path (``A @ x`` for 1-D ``x`` dispatches
   dgemv while the 2-D batch would use dgemm, and the two may disagree in
-  the last ulp — enough to flip a wall-contact sign test and split the
-  engines);
+  the last ulp — enough to flip a wall-contact sign test);
 * chains never share randomness: each chain owns a private Generator
-  stream (:func:`repro.stats.engine.spawn_streams`) and draws from it in
-  a fixed per-iteration order, so the per-stream bit consumption is
-  independent of batch grouping.
+  stream (:func:`spawn_streams`) and draws from it in a fixed
+  per-iteration order, so the per-stream bit consumption is independent
+  of batch grouping.
 
 Masks (``np.where``) freeze chains that finish a jittered trajectory (or
 fail it) early; a frozen row passes through the remaining substeps
 bit-unchanged, so lockstep iteration count never leaks between rows.
 
-Checkpoint snapshots are saved per chain at iteration boundaries exactly
-as the historical per-chain loops did.  A batch that finds *any* saved
-snapshot on entry resumes its chains sequentially (batch size one) —
-resumption is rare, and per-chain resume is bit-identical to lockstep by
-the contract above.  Fault-injected runs are routed to the ``perchain``
-engine by the chain wrappers so clause counters fire in the historical
-per-chain evaluation order.
+Checkpoint snapshots are saved per chain at iteration boundaries.  A
+batch that finds *any* saved snapshot on entry resumes its chains one at
+a time (batch size one) — resumption is rare, and per-chain resume is
+bit-identical to lockstep by the property above.  Fault-injected
+densities run their chains in order, each chain's attempt 0 and healing
+restarts before the next chain starts, so injected-clause counters fire
+in chain order (:func:`sample_chains`).
 """
 
 from __future__ import annotations
@@ -49,26 +55,48 @@ from .base import (
     HMCConfig,
     HMCResult,
     ReflectiveHMCResult,
+    combine_chains,
     heal_continue,
     sample_with_healing,
 )
-from .densities import BatchedDensity, rowmat
-from .engine import BATCHED
+from .densities import BatchedDensity, CountingDensity, LoopDensity, as_batched, rowmat
 from .polytope import Polytope
-from .. import checkpoint
+from .. import checkpoint, faultinject, telemetry
 from ..errors import InferenceError
 
 #: maximum wall reflections within a single leapfrog position update
 MAX_REFLECTIONS = 64
 
 
+def spawn_streams(rng: np.random.Generator, n: int) -> List[np.random.Generator]:
+    """Derive ``n`` independent per-chain generators from ``rng``.
+
+    Uses :meth:`numpy.random.Generator.spawn` (child streams keyed off the
+    parent's seed sequence; the parent's bit stream is untouched).  For
+    generators without a spawnable seed sequence — e.g. one rebuilt from a
+    raw bit-generator state — falls back to seeding children from parent
+    draws, which is equally deterministic.
+
+    Called once per cell before any chain runs, so chain ``i`` sees the
+    same stream however the chains are grouped, and whichever sampler
+    (HMC, reflective HMC, NUTS) runs the cell.
+    """
+    if n <= 0:
+        return []
+    try:
+        return list(rng.spawn(n))
+    except (AttributeError, TypeError, ValueError):
+        seeds = rng.integers(0, 2**63 - 1, size=(n, 4))
+        return [np.random.default_rng([int(s) for s in row]) for row in seeds]
+
+
 class _BatchedDualAveraging:
     """Vectorized Nesterov dual averaging — one adapter row per chain.
 
-    Bit-compatible with the scalar :class:`repro.stats.base._DualAveraging`
-    row-for-row: every update is elementwise over the chain axis.  The
-    iteration counter is shared — lockstep batches always update all rows
-    at every warmup iteration.
+    Mirrors the scalar :class:`repro.stats.base._DualAveraging` that NUTS
+    uses, elementwise over the chain axis.  The iteration counter is
+    shared — lockstep batches always update all rows at every warmup
+    iteration.
     """
 
     _KEYS = ("mu", "target", "log_step", "log_step_bar", "h_bar")
@@ -126,10 +154,11 @@ class _BatchedDualAveraging:
 class BatchedDriftEngine:
     """Reflection geometry for one polytope, batched over chains.
 
-    Same incremental-update scheme as the scalar ``_DriftEngine`` (the
-    Gram matrix turns each reflection into an O(m) update of ``A·p`` and
-    the slacks), applied row-wise to a ``(rows, dim)`` batch with masks
-    freezing rows that finish their drift early.
+    Caches the Gram matrix ``A Aᵀ`` so that, inside a drift, a reflection
+    off facet ``h`` is an O(m) update of ``A·p`` and the slacks instead of
+    a fresh O(m·n) matvec; rows that finish their drift early are frozen
+    by masks.  ``tests/drift_oracle.py`` keeps a scalar twin that the
+    property tests check this engine against.
     """
 
     def __init__(self, polytope: Polytope):
@@ -231,101 +260,39 @@ class BatchedDriftEngine:
         return q, p, reflections, True
 
 
+def _advance(drift: Optional[BatchedDriftEngine], Q, P, dt):
+    """One position update: ``(Q', P', reflections, moved)``.
+
+    Free flight (``drift is None``) moves straight along ``P`` and keeps
+    rows whose position stays finite.  A reflective drift keeps rows that
+    stayed within the reflection budget and ended inside the polytope:
+    accepting a state even marginally outside wedges the chain.
+    """
+    if drift is None:
+        Q = Q + dt[:, None] * P
+        return Q, P, 0, np.isfinite(Q).all(axis=-1)
+    Q, P, refl, ok, inside = drift.drift(Q, P, dt)
+    return Q, P, refl, ok & inside
+
+
 def leapfrog_batch(
     density: BatchedDensity,
+    drift: Optional[BatchedDriftEngine],
     Q0: np.ndarray,
     P0: np.ndarray,
     G0: np.ndarray,
     step: np.ndarray,
     n_steps: np.ndarray,
 ):
-    """Batched leapfrog with per-row step counts; returns (Q, P, logp, G).
+    """Batched leapfrog with per-row step counts; returns
+    ``(Q, P, logp, G, reflections)``.
 
-    Rows whose trajectory leaves the finite domain report ``logp = -inf``
-    (their positions/momenta are then discarded by the accept step, as in
-    the scalar integrator).  The density is evaluated only on rows still
-    integrating, so gradient-eval counts match per-chain execution.
-    """
-    q = Q0.copy()
-    rows = q.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = P0 + 0.5 * step[:, None] * G0
-        g = G0.copy()
-        logp = np.full(rows, -np.inf)
-        alive = np.ones(rows, bool)
-        alive_all = True
-        max_steps = int(n_steps.max())
-        min_steps = int(n_steps.min())
-        step_col = step[:, None]
-        # kick_all[s] == np.where(s == n_steps - 1, 0.5, 1.0) * step
-        kick_all = (
-            np.where(np.arange(max_steps)[:, None] == (n_steps - 1)[None, :], 0.5, 1.0)
-            * step[None, :]
-        )
-        for s in range(max_steps):
-            # fast path: every row is still integrating, so the act masks
-            # are all-true and np.where(mask, new, old) == new bit for bit
-            # — evaluate the plain updates and skip the mask machinery
-            if alive_all and s < min_steps:
-                q = q + step_col * p
-                ok_q = np.isfinite(q).all(axis=-1)
-                if ok_q.all():
-                    l_rows, g_rows = density.batched(q)
-                    ok_rows = np.isfinite(l_rows) & np.isfinite(g_rows).all(axis=-1)
-                    if ok_rows.all():
-                        logp = l_rows
-                        g = g_rows
-                        kick = kick_all[s]
-                        p = p + kick[:, None] * g
-                        continue
-                    logp = np.where(ok_rows, l_rows, -np.inf)
-                    g = np.where(ok_rows[:, None], g_rows, g)
-                    alive = ok_rows.copy()
-                    alive_all = False
-                    kick = kick_all[s]
-                    p = np.where(alive[:, None], p + kick[:, None] * g, p)
-                    continue
-                alive = ok_q.copy()
-                alive_all = False
-                act = alive.copy()
-            else:
-                act = alive & (s < n_steps)
-                if not act.any():
-                    break
-                q = np.where(act[:, None], q + step_col * p, q)
-                ok_q = np.all(np.isfinite(q), axis=-1)
-                alive = alive & (ok_q | ~act)
-                alive_all = False
-                act = act & alive
-            idx = np.flatnonzero(act)
-            if idx.size:
-                l_rows, g_rows = density.batched(q[idx])
-                ok_rows = np.isfinite(l_rows) & np.all(np.isfinite(g_rows), axis=-1)
-                logp[idx] = np.where(ok_rows, l_rows, -np.inf)
-                good = idx[ok_rows]
-                g[good] = g_rows[ok_rows]
-                alive[idx[~ok_rows]] = False
-                act = act & alive
-            kick = kick_all[s]
-            p = np.where(act[:, None], p + kick[:, None] * g, p)
-    logp = np.where(alive, logp, -np.inf)
-    return q, p, logp, g
-
-
-def leapfrog_reflective_batch(
-    density: BatchedDensity,
-    drift: BatchedDriftEngine,
-    Q0: np.ndarray,
-    P0: np.ndarray,
-    G0: np.ndarray,
-    step: np.ndarray,
-    n_steps: np.ndarray,
-):
-    """Batched reflective leapfrog; returns (Q, P, logp, G, reflections).
-
-    Mirrors the scalar integrator: a drift that exhausts its reflection
-    budget — or lands even marginally outside the polytope on the fresh
-    containment check — marks the row divergent (``logp = -inf``).
+    Position updates go through :func:`_advance` — free flight, or a drift
+    reflecting off the facets of ``drift``'s polytope.  A row whose update
+    fails, or whose density is non-finite, reports ``logp = -inf`` (its
+    positions/momenta are then discarded by the accept step).  The density
+    is evaluated only on rows still integrating, so gradient-eval counts
+    match per-chain execution.
     """
     q = Q0.copy()
     rows = q.shape[0]
@@ -344,50 +311,42 @@ def leapfrog_reflective_batch(
             * step[None, :]
         )
         for s in range(max_steps):
-            # fast path: all rows still integrating — run the drift and
-            # the density on the whole batch, skipping the compression /
-            # scatter machinery (identical arithmetic, see leapfrog_batch)
+            # fast path: every row is still integrating, so the act masks
+            # are all-true and np.where(mask, new, old) == new bit for bit
+            # — update the whole batch and skip the mask machinery
             if alive_all and s < min_steps:
-                qd, pd, refl_d, ok_d, inside_d = drift.drift(q, p, step)
-                q = qd
-                p = pd
-                refl_total = refl_total + refl_d
-                okd = ok_d & inside_d
-                if okd.all():
+                q, p, refl, moved = _advance(drift, q, p, step)
+                refl_total = refl_total + refl
+                if moved.all():
                     l_rows, g_rows = density.batched(q)
                     ok_rows = np.isfinite(l_rows) & np.isfinite(g_rows).all(axis=-1)
                     if ok_rows.all():
                         logp = l_rows
                         g = g_rows
-                        kick = kick_all[s]
-                        p = p + kick[:, None] * g
+                        p = p + kick_all[s][:, None] * g
                         continue
                     logp = np.where(ok_rows, l_rows, -np.inf)
                     g = np.where(ok_rows[:, None], g_rows, g)
                     alive = ok_rows.copy()
                     alive_all = False
-                    kick = kick_all[s]
-                    p = np.where(alive[:, None], p + kick[:, None] * g, p)
+                    p = np.where(alive[:, None], p + kick_all[s][:, None] * g, p)
                     continue
-                alive = okd.copy()
+                alive = moved.copy()
                 alive_all = False
                 act = alive.copy()
-                idx = np.flatnonzero(act)
             else:
                 act = alive & (s < n_steps)
                 if not act.any():
                     break
                 idx = np.flatnonzero(act)
-                qd, pd, refl_d, ok_d, inside = drift.drift(q[idx], p[idx], step[idx])
+                qd, pd, refl, moved = _advance(drift, q[idx], p[idx], step[idx])
                 q[idx] = qd
                 p[idx] = pd
-                refl_total[idx] += refl_d
-                # require the proposal to stay inside: accepting a state
-                # even marginally outside the polytope wedges the chain
-                alive[idx[~(ok_d & inside)]] = False
+                refl_total[idx] += refl
+                alive[idx[~moved]] = False
                 alive_all = False
                 act = act & alive
-                idx = np.flatnonzero(act)
+            idx = np.flatnonzero(act)
             if idx.size:
                 l_rows, g_rows = density.batched(q[idx])
                 ok_rows = np.isfinite(l_rows) & np.all(np.isfinite(g_rows), axis=-1)
@@ -396,8 +355,7 @@ def leapfrog_reflective_batch(
                 g[good] = g_rows[ok_rows]
                 alive[idx[~ok_rows]] = False
                 act = act & alive
-            kick = kick_all[s]
-            p = np.where(act[:, None], p + kick[:, None] * g, p)
+            p = np.where(act[:, None], p + kick_all[s][:, None] * g, p)
     logp = np.where(alive, logp, -np.inf)
     return q, p, logp, g, refl_total
 
@@ -412,23 +370,18 @@ def _find_initial_step_row(
     start: float,
 ) -> float:
     """Stan's heuristic, per chain: scale the step so one leapfrog step
-    accepts ≈ 1/2.  Runs through the batched kernels with a single row so
-    its arithmetic is identical under both engines."""
+    accepts ≈ 1/2.  Runs through the batched kernel with a single row, so
+    its arithmetic does not depend on the batch the chain runs in."""
     step = start
     momentum = rng.normal(size=q.size)
     h0 = -logp + 0.5 * float((momentum * momentum).sum())
     one = np.ones(1, dtype=int)
 
     def accept_prob(step_size: float) -> float:
-        eps = np.array([step_size])
-        if drift is None:
-            _qn, pn, lpn, _gn = leapfrog_batch(
-                density, q[None, :], momentum[None, :], grad[None, :], eps, one
-            )
-        else:
-            _qn, pn, lpn, _gn, _r = leapfrog_reflective_batch(
-                density, drift, q[None, :], momentum[None, :], grad[None, :], eps, one
-            )
+        _qn, pn, lpn, _gn, _r = leapfrog_batch(
+            density, drift, q[None, :], momentum[None, :], grad[None, :],
+            np.array([step_size]), one,
+        )
         if not np.isfinite(lpn[0]):
             return 0.0
         h1 = -float(lpn[0]) + 0.5 * float((pn[0] * pn[0]).sum())
@@ -472,33 +425,46 @@ def _jitter_rows(
     )
 
 
-def attempt_hmc(
+def _chain_result(drift, n_reflections, **fields):
+    """One chain's result: HMCResult in free flight, else ReflectiveHMCResult."""
+    if drift is None:
+        return HMCResult(**fields)
+    return ReflectiveHMCResult(**fields, n_reflections=n_reflections)
+
+
+#: chain-result fields a finished chain's snapshot carries
+_DONE_KEYS = (
+    "accept_rate", "step_size", "divergences", "leapfrog_steps", "n_reflections"
+)
+
+
+def attempt(
     density: BatchedDensity,
+    drift: Optional[BatchedDriftEngine],
     starts: Sequence[np.ndarray],
     config: HMCConfig,
     streams: Sequence[np.random.Generator],
     keys: Sequence[Optional[str]],
-    engine_label: str,
 ) -> List[object]:
-    """One healing attempt of unconstrained HMC over a batch of chains.
+    """One healing attempt of (reflective) HMC over a batch of chains.
 
-    Returns one outcome per chain: an :class:`HMCResult`, or the
-    :class:`InferenceError` a per-chain run would have raised (a chain
-    whose start has zero density).  Other exceptions propagate.
+    Returns one outcome per chain: a chain result, or the
+    :class:`InferenceError` a chain run alone would have raised — a start
+    outside the polytope or with zero density.  Other exceptions
+    propagate.
     """
     starts = [np.asarray(s, dtype=float).copy() for s in starts]
     n_chains = len(starts)
     dim = starts[0].size
     cursors = [
-        checkpoint.chain_cursor(key, config, s, engine=engine_label)
-        for key, s in zip(keys, starts)
+        checkpoint.chain_cursor(key, config, s) for key, s in zip(keys, starts)
     ]
     loads = [cur.load() if cur is not None else None for cur in cursors]
     if n_chains > 1 and any(saved is not None for saved in loads):
         # some chain has a snapshot: resume chains one at a time (batch
         # size one is bit-identical to lockstep, and resumption is rare)
         return [
-            attempt_hmc(density, [s], config, [r], [k], engine_label)[0]
+            attempt(density, drift, [s], config, [r], [k])[0]
             for s, r, k in zip(starts, streams, keys)
         ]
     saved = loads[0] if n_chains == 1 else None
@@ -506,196 +472,16 @@ def attempt_hmc(
         # the whole chain already ran; replay its result and leave the rng
         # exactly where the uninterrupted chain would have left it
         checkpoint.restore_rng(streams[0], saved["rng"])
+        samples = np.asarray(saved["samples"], dtype=float)
         return [
-            HMCResult(
-                np.asarray(saved["samples"], dtype=float).reshape(config.n_samples, dim),
-                saved["accept_rate"],
-                saved["step_size"],
-                np.asarray(saved["logdensities"], dtype=float),
-                divergences=saved["divergences"],
-                leapfrog_steps=saved["leapfrog_steps"],
+            _chain_result(
+                drift,
+                samples=samples.reshape(config.n_samples, dim),
+                logdensities=np.asarray(saved["logdensities"], dtype=float),
+                **{key: saved[key] for key in _DONE_KEYS},
             )
         ]
 
-    outcomes: List[object] = [None] * n_chains
-    start_iteration = 0
-    if saved is not None:
-        live = [0]
-        Q = np.asarray(saved["position"], dtype=float)[None, :]
-        logp = np.array([float(saved["logp"])])
-        G = np.asarray(saved["grad"], dtype=float)[None, :]
-        step = np.array([float(saved["step_size"])])
-        adapter = _BatchedDualAveraging(
-            np.full(1, config.initial_step_size), config.target_accept
-        )
-        adapter.restore(0, saved["adapter"])
-        samples = np.empty((1, config.n_samples, dim))
-        logdens = np.empty((1, config.n_samples))
-        collected = int(saved["collected"])
-        if collected:
-            samples[0, :collected] = np.asarray(saved["samples"], dtype=float).reshape(
-                collected, dim
-            )
-            logdens[0, :collected] = np.asarray(saved["logdensities"], dtype=float)
-        accepted = np.array([float(saved["accepted"])])
-        total_post = np.array([int(saved["total_post_warmup"])])
-        divergences = np.array([int(saved["divergences"])])
-        lf_steps = np.array([int(saved["leapfrog_steps"])])
-        start_iteration = int(saved["iteration"])
-        checkpoint.restore_rng(streams[0], saved["rng"])
-    else:
-        Q_all = np.stack(starts)
-        logp_all, G_all = density.batched(Q_all)
-        bad = ~np.isfinite(logp_all)
-        for c in np.flatnonzero(bad):
-            outcomes[c] = InferenceError("HMC initial position has zero density")
-        live = [c for c in range(n_chains) if not bad[c]]
-        if not live:
-            return outcomes
-        Q = Q_all[live]
-        logp = logp_all[live]
-        G = G_all[live]
-        step = np.array(
-            [
-                _find_initial_step_row(
-                    density, None, Q[i], float(logp[i]), G[i], streams[c],
-                    config.initial_step_size,
-                )
-                for i, c in enumerate(live)
-            ]
-        )
-        adapter = _BatchedDualAveraging(step.copy(), config.target_accept)
-        rows = len(live)
-        samples = np.empty((rows, config.n_samples, dim))
-        logdens = np.empty((rows, config.n_samples))
-        accepted = np.zeros(rows)
-        total_post = np.zeros(rows, dtype=int)
-        divergences = np.zeros(rows, dtype=int)
-        lf_steps = np.zeros(rows, dtype=int)
-
-    row_streams = [streams[c] for c in live]
-    row_cursors = [cursors[c] for c in live]
-    rows = len(live)
-    n_total = config.n_warmup + config.n_samples
-    for iteration in range(start_iteration, n_total):
-        for i in range(rows):
-            cur = row_cursors[i]
-            if cur is not None and cur.due(iteration):
-                collected = max(0, iteration - config.n_warmup)
-                cur.save(
-                    {
-                        "status": "running",
-                        "iteration": iteration,
-                        "position": Q[i].tolist(),
-                        "logp": float(logp[i]),
-                        "grad": G[i].tolist(),
-                        "step_size": float(step[i]),
-                        "adapter": adapter.state(i),
-                        "collected": collected,
-                        "samples": samples[i, :collected].tolist(),
-                        "logdensities": logdens[i, :collected].tolist(),
-                        "accepted": float(accepted[i]),
-                        "total_post_warmup": int(total_post[i]),
-                        "divergences": int(divergences[i]),
-                        "leapfrog_steps": int(lf_steps[i]),
-                        "rng": checkpoint.rng_state(row_streams[i]),
-                    }
-                )
-        P = _normal_rows(row_streams, dim)
-        current_h = -logp + 0.5 * (P * P).sum(axis=-1)
-        n_steps = _jitter_rows(row_streams, config)
-        lf_steps = lf_steps + n_steps
-        Qn, Pn, logp_n, Gn = leapfrog_batch(density, Q, P, G, step, n_steps)
-        finite = np.isfinite(logp_n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            proposal_h = -logp_n + 0.5 * (Pn * Pn).sum(axis=-1)
-            accept_prob = np.where(
-                finite, np.exp(np.minimum(0.0, current_h - proposal_h)), 0.0
-            )
-        accept = _uniform_rows(row_streams) < accept_prob
-        Q = np.where(accept[:, None], Qn, Q)
-        logp = np.where(accept, logp_n, logp)
-        G = np.where(accept[:, None], Gn, G)
-        if iteration < config.n_warmup:
-            step = np.minimum(adapter.update(accept_prob), config.max_step_size)
-            if iteration == config.n_warmup - 1:
-                step = np.minimum(adapter.final(), config.max_step_size)
-        else:
-            idx = iteration - config.n_warmup
-            samples[:, idx] = Q
-            logdens[:, idx] = logp
-            total_post = total_post + 1
-            accepted = accepted + accept_prob
-            divergences = divergences + (accept_prob == 0.0)
-
-    for i, c in enumerate(live):
-        accept_rate = float(accepted[i]) / max(1, int(total_post[i]))
-        cur = row_cursors[i]
-        if cur is not None:
-            cur.save(
-                {
-                    "status": "done",
-                    "iteration": n_total,
-                    "samples": samples[i].tolist(),
-                    "logdensities": logdens[i].tolist(),
-                    "accept_rate": accept_rate,
-                    "step_size": float(step[i]),
-                    "divergences": int(divergences[i]),
-                    "leapfrog_steps": int(lf_steps[i]),
-                    "rng": checkpoint.rng_state(row_streams[i]),
-                }
-            )
-        outcomes[c] = HMCResult(
-            samples[i],
-            accept_rate,
-            float(step[i]),
-            logdens[i],
-            divergences=int(divergences[i]),
-            leapfrog_steps=int(lf_steps[i]),
-        )
-    return outcomes
-
-
-def attempt_reflective(
-    density: BatchedDensity,
-    polytope: Polytope,
-    starts: Sequence[np.ndarray],
-    config: HMCConfig,
-    streams: Sequence[np.random.Generator],
-    keys: Sequence[Optional[str]],
-    engine_label: str,
-) -> List[object]:
-    """One healing attempt of reflective HMC over a batch of chains.
-
-    Outcome semantics match :func:`attempt_hmc`; the two per-chain error
-    cases are a non-interior start and a zero-density start."""
-    starts = [np.asarray(s, dtype=float).copy() for s in starts]
-    n_chains = len(starts)
-    dim = starts[0].size
-    cursors = [
-        checkpoint.chain_cursor(key, config, s, engine=engine_label)
-        for key, s in zip(keys, starts)
-    ]
-    loads = [cur.load() if cur is not None else None for cur in cursors]
-    if n_chains > 1 and any(saved is not None for saved in loads):
-        return [
-            attempt_reflective(density, polytope, [s], config, [r], [k], engine_label)[0]
-            for s, r, k in zip(starts, streams, keys)
-        ]
-    saved = loads[0] if n_chains == 1 else None
-    if saved is not None and saved["status"] == "done":
-        checkpoint.restore_rng(streams[0], saved["rng"])
-        return [
-            ReflectiveHMCResult(
-                np.asarray(saved["samples"], dtype=float).reshape(config.n_samples, dim),
-                saved["accept_rate"],
-                saved["step_size"],
-                saved["n_reflections"],
-                divergences=saved["divergences"],
-            )
-        ]
-
-    drift = BatchedDriftEngine(polytope)
     outcomes: List[object] = [None] * n_chains
     start_iteration = 0
     if saved is not None:
@@ -711,34 +497,42 @@ def attempt_reflective(
         )
         adapter.restore(0, saved["adapter"])
         samples = np.empty((1, config.n_samples, dim))
+        logdens = np.empty((1, config.n_samples))
         collected = int(saved["collected"])
         if collected:
             samples[0, :collected] = np.asarray(saved["samples"], dtype=float).reshape(
                 collected, dim
             )
+            logdens[0, :collected] = np.asarray(saved["logdensities"], dtype=float)
         accepted = np.array([float(saved["accepted"])])
-        n_reflections = np.array([int(saved["n_reflections"])])
         divergences = np.array([int(saved["divergences"])])
+        lf_steps = np.array([int(saved["leapfrog_steps"])])
+        n_reflections = np.array([int(saved["n_reflections"])])
         start_iteration = int(saved["iteration"])
         checkpoint.restore_rng(streams[0], saved["rng"])
     else:
         Q_all = np.stack(starts)
-        interior = drift.contains(Q_all, 1e-9)
-        for c in np.flatnonzero(~interior):
-            outcomes[c] = InferenceError(
-                "reflective HMC must start from an interior point"
-            )
-        inner = [c for c in range(n_chains) if interior[c]]
-        if not inner:
-            return outcomes
-        logp_in, G_in = density.batched(Q_all[inner])
-        bad = ~np.isfinite(logp_in)
-        for i in np.flatnonzero(bad):
-            outcomes[inner[i]] = InferenceError("initial point has zero density")
-        live = [c for i, c in enumerate(inner) if not bad[i]]
+        if drift is None:
+            live = list(range(n_chains))
+            zero_density = "HMC initial position has zero density"
+        else:
+            interior = drift.contains(Q_all, 1e-9)
+            for c in np.flatnonzero(~interior):
+                outcomes[c] = InferenceError(
+                    "reflective HMC must start from an interior point"
+                )
+            live = [c for c in range(n_chains) if interior[c]]
+            zero_density = "initial point has zero density"
         if not live:
             return outcomes
+        logp_in, G_in = density.batched(Q_all[live])
+        bad = ~np.isfinite(logp_in)
+        for i in np.flatnonzero(bad):
+            outcomes[live[i]] = InferenceError(zero_density)
         keep = np.flatnonzero(~bad)
+        live = [live[i] for i in keep]
+        if not live:
+            return outcomes
         Q = Q_all[live]
         logp = logp_in[keep]
         G = G_in[keep]
@@ -751,16 +545,22 @@ def attempt_reflective(
                 for i, c in enumerate(live)
             ]
         )
-        # clamp adaptation so one burst of hard rejections (e.g. a corner of
-        # the polytope) cannot spiral the step size into oblivion
-        step_floor = step * 1e-4
-        step_cap = np.minimum(step * 1e4, config.max_step_size)
-        adapter = _BatchedDualAveraging(step.copy(), config.target_accept)
         rows = len(live)
+        if drift is None:
+            step_floor = np.zeros(rows)
+            step_cap = np.full(rows, config.max_step_size)
+        else:
+            # clamp adaptation so one burst of hard rejections (e.g. a corner
+            # of the polytope) cannot spiral the step size into oblivion
+            step_floor = step * 1e-4
+            step_cap = np.minimum(step * 1e4, config.max_step_size)
+        adapter = _BatchedDualAveraging(step.copy(), config.target_accept)
         samples = np.empty((rows, config.n_samples, dim))
+        logdens = np.empty((rows, config.n_samples))
         accepted = np.zeros(rows)
-        n_reflections = np.zeros(rows, dtype=int)
         divergences = np.zeros(rows, dtype=int)
+        lf_steps = np.zeros(rows, dtype=int)
+        n_reflections = np.zeros(rows, dtype=int)
 
     row_streams = [streams[c] for c in live]
     row_cursors = [cursors[c] for c in live]
@@ -784,18 +584,19 @@ def attempt_reflective(
                         "adapter": adapter.state(i),
                         "collected": collected,
                         "samples": samples[i, :collected].tolist(),
+                        "logdensities": logdens[i, :collected].tolist(),
                         "accepted": float(accepted[i]),
-                        "n_reflections": int(n_reflections[i]),
                         "divergences": int(divergences[i]),
+                        "leapfrog_steps": int(lf_steps[i]),
+                        "n_reflections": int(n_reflections[i]),
                         "rng": checkpoint.rng_state(row_streams[i]),
                     }
                 )
         P = _normal_rows(row_streams, dim)
         current_h = -logp + 0.5 * (P * P).sum(axis=-1)
         n_steps = _jitter_rows(row_streams, config)
-        Qn, Pn, logp_n, Gn, refl = leapfrog_reflective_batch(
-            density, drift, Q, P, G, step, n_steps
-        )
+        lf_steps = lf_steps + n_steps
+        Qn, Pn, logp_n, Gn, refl = leapfrog_batch(density, drift, Q, P, G, step, n_steps)
         n_reflections = n_reflections + refl
         finite = np.isfinite(logp_n)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -812,12 +613,20 @@ def attempt_reflective(
             if iteration == config.n_warmup - 1:
                 step = np.clip(adapter.final(), step_floor, step_cap)
         else:
-            samples[:, iteration - config.n_warmup] = Q
+            idx = iteration - config.n_warmup
+            samples[:, idx] = Q
+            logdens[:, idx] = logp
             accepted = accepted + accept_prob
             divergences = divergences + (accept_prob == 0.0)
 
     for i, c in enumerate(live):
-        accept_rate = float(accepted[i]) / max(1, config.n_samples)
+        fields = {
+            "accept_rate": float(accepted[i]) / max(1, config.n_samples),
+            "step_size": float(step[i]),
+            "divergences": int(divergences[i]),
+            "leapfrog_steps": int(lf_steps[i]),
+            "n_reflections": int(n_reflections[i]),
+        }
         cur = row_cursors[i]
         if cur is not None:
             cur.save(
@@ -825,128 +634,98 @@ def attempt_reflective(
                     "status": "done",
                     "iteration": n_total,
                     "samples": samples[i].tolist(),
-                    "accept_rate": accept_rate,
-                    "step_size": float(step[i]),
-                    "n_reflections": int(n_reflections[i]),
-                    "divergences": int(divergences[i]),
+                    "logdensities": logdens[i].tolist(),
+                    **fields,
                     "rng": checkpoint.rng_state(row_streams[i]),
                 }
             )
-        outcomes[c] = ReflectiveHMCResult(
-            samples[i],
-            accept_rate,
-            float(step[i]),
-            int(n_reflections[i]),
-            divergences=int(divergences[i]),
+        outcomes[c] = _chain_result(
+            drift, samples=samples[i], logdensities=logdens[i], **fields
         )
     return outcomes
 
 
-def single_hmc(
+def single(
     density: BatchedDensity,
+    drift: Optional[BatchedDriftEngine],
     start: np.ndarray,
     config: HMCConfig,
     rng: np.random.Generator,
     key: Optional[str],
-    engine_label: str,
-) -> HMCResult:
+):
     """One chain as a batch of one; raises the chain's InferenceError."""
-    out = attempt_hmc(density, [start], config, [rng], [key], engine_label)[0]
+    out = attempt(density, drift, [start], config, [rng], [key])[0]
     if isinstance(out, InferenceError):
         raise out
     return out
 
 
-def single_reflective(
+def run_chains(
     density: BatchedDensity,
-    polytope: Polytope,
-    start: np.ndarray,
-    config: HMCConfig,
-    rng: np.random.Generator,
-    key: Optional[str],
-    engine_label: str,
-) -> ReflectiveHMCResult:
-    """One chain as a batch of one; raises the chain's InferenceError."""
-    out = attempt_reflective(
-        density, polytope, [start], config, [rng], [key], engine_label
-    )[0]
-    if isinstance(out, InferenceError):
-        raise out
-    return out
-
-
-def _heal_outcomes(outcomes, single_fns, config, streams):
-    """Feed lockstep attempt-0 outcomes into the per-chain healing driver."""
-    results = []
-    for c, out in enumerate(outcomes):
-        if isinstance(out, InferenceError):
-            result, error = None, out
-        else:
-            result, error = out, None
-        results.append(
-            heal_continue(single_fns[c], config, streams[c], result, error)
-        )
-    return results
-
-
-def run_hmc_batch(
-    density: BatchedDensity,
+    drift: Optional[BatchedDriftEngine],
     starts: Sequence[np.ndarray],
     config: HMCConfig,
     streams: Sequence[np.random.Generator],
     keys: Sequence[Optional[str]],
-    mode: str,
-) -> List[HMCResult]:
-    """All chains of a cell, healing included, under the selected engine.
+    in_order: bool,
+) -> List[object]:
+    """All chains of a cell, healing included.
 
-    ``batched`` runs attempt 0 as one lockstep batch and the (rare)
-    healing restarts per chain; ``perchain`` runs everything chain by
-    chain.  Identical restart schedule, identical rng consumption —
-    bit-identical results.
+    Attempt 0 runs as one lockstep batch, and each chain's (rare) healing
+    restarts then run on their own.  ``in_order`` instead runs chain by
+    chain, each chain's attempt 0 and restarts before the next chain
+    starts.  Both orders draw the same bits from each chain's stream.
     """
     starts = [np.asarray(s, dtype=float) for s in starts]
 
-    def single(c):
-        return lambda cfg, r, _s=starts[c], _k=keys[c]: single_hmc(
-            density, _s, cfg, r, _k, mode
-        )
+    def chain(c):
+        return lambda cfg, r: single(density, drift, starts[c], cfg, r, keys[c])
 
-    if mode == BATCHED and len(starts) > 1:
-        outcomes = attempt_hmc(density, starts, config, streams, keys, mode)
-        return _heal_outcomes(
-            outcomes, [single(c) for c in range(len(starts))], config, streams
-        )
-    return [
-        sample_with_healing(single(c), config, streams[c])
-        for c in range(len(starts))
-    ]
+    if in_order or len(starts) < 2:
+        return [
+            sample_with_healing(chain(c), config, streams[c])
+            for c in range(len(starts))
+        ]
+    outcomes = attempt(density, drift, starts, config, streams, keys)
+    results = []
+    for c, out in enumerate(outcomes):
+        error = out if isinstance(out, InferenceError) else None
+        result = None if error is not None else out
+        results.append(heal_continue(chain(c), config, streams[c], result, error))
+    return results
 
 
-def run_reflective_batch(
-    density: BatchedDensity,
-    polytope: Polytope,
-    starts: Sequence[np.ndarray],
+def sample_chains(
+    logdensity_and_grad,
+    polytope: Optional[Polytope],
+    initial_points,
     config: HMCConfig,
-    streams: Sequence[np.random.Generator],
-    keys: Sequence[Optional[str]],
-    mode: str,
-) -> List[ReflectiveHMCResult]:
-    """Reflective counterpart of :func:`run_hmc_batch`."""
-    starts = [np.asarray(s, dtype=float) for s in starts]
+    rng: np.random.Generator,
+    fault_key: str,
+):
+    """Several self-healing chains from different starts; concatenated draws.
 
-    def single(c):
-        return lambda cfg, r, _s=starts[c], _k=keys[c]: single_reflective(
-            density, polytope, _s, cfg, r, _k, mode
-        )
-
-    if mode == BATCHED and len(starts) > 1:
-        outcomes = attempt_reflective(
-            density, polytope, starts, config, streams, keys, mode
-        )
-        return _heal_outcomes(
-            outcomes, [single(c) for c in range(len(starts))], config, streams
-        )
-    return [
-        sample_with_healing(single(c), config, streams[c])
-        for c in range(len(starts))
-    ]
+    Plain HMC when ``polytope`` is None, else reflective HMC inside it.
+    Chains draw from independent per-chain streams spawned off ``rng``,
+    which is what lets them advance in lockstep.  A density wrapped by an
+    active ``nan-logdensity`` fault plan runs its chains in order instead,
+    so the plan's clause counters fire in chain order.
+    """
+    kind = "hmc" if polytope is None else "reflective"
+    wrapped = faultinject.wrap_logdensity(logdensity_and_grad, fault_key)
+    in_order = wrapped is not logdensity_and_grad
+    density = LoopDensity(wrapped) if in_order else as_batched(logdensity_and_grad)
+    grad_evals = None
+    if telemetry.enabled():
+        grad_evals = [0]
+        density = CountingDensity(density, grad_evals)
+    attrs = {"n_samples": config.n_samples, "n_warmup": config.n_warmup}
+    if polytope is not None:
+        attrs["facets"] = int(polytope.A.shape[0])
+    with telemetry.span(f"sampler.{kind}", **attrs) as tspan:
+        drift = None if polytope is None else BatchedDriftEngine(polytope)
+        starts = [np.asarray(p, dtype=float) for p in initial_points]
+        streams = spawn_streams(rng, len(starts))
+        keys = [f"{kind}/{fault_key}/chain{i}" for i in range(len(starts))]
+        results = run_chains(density, drift, starts, config, streams, keys, in_order)
+        return combine_chains(kind, results, grad_evals, tspan)

@@ -1,17 +1,17 @@
-"""Batched log-density protocol for the sampler engines.
+"""Batched log-density protocol for the lockstep sampler.
 
-The batched sampler core (:mod:`repro.stats.batched`) evaluates the
-target on a ``(rows, dim)`` matrix of positions at once.  A *batched
-density* is any object with
+The lockstep sampler (:mod:`repro.stats.batched`) evaluates the target
+on a ``(rows, dim)`` matrix of positions at once.  A *batched density*
+is any object with
 
     ``batched(Q) -> (logp, grad)``   # ``(rows,)`` and ``(rows, dim)``
 
 whose row ``i`` depends only on ``Q[i]`` — **batch-size stability**: the
 result of a row must be bit-identical whether it is evaluated alone or
-stacked with other rows.  That property is what makes the ``batched``
-and ``perchain`` engines produce identical draws, so native
-implementations must avoid rank-dependent reduction orders (no BLAS
-matvecs over the batch; use broadcast-multiply + last-axis sums).
+stacked with other rows.  That property is what makes a chain's draws
+the same in a lockstep batch as alone, so native implementations must
+avoid rank-dependent reduction orders (no BLAS matvecs over the batch;
+use broadcast-multiply + last-axis sums).
 
 :func:`as_batched` adapts any legacy scalar ``f(q) -> (logp, grad)``
 closure via a row loop — trivially batch-stable, and it preserves the
@@ -62,8 +62,8 @@ class CountingDensity(BatchedDensity):
     """Observation-only wrapper counting evaluated rows (telemetry).
 
     Rows, not calls: one lockstep call on ``k`` active chains counts the
-    same as ``k`` per-chain calls, so gradient-eval counters agree across
-    engines.
+    same as ``k`` per-chain calls, so gradient-eval counters do not depend
+    on how chains are batched.
     """
 
     def __init__(self, base: BatchedDensity, counts):
@@ -90,7 +90,8 @@ def as_batched(fn) -> BatchedDensity:
 
 # Operator size (elements of M) above which a per-row dgemv loop beats a
 # single einsum.  The choice only depends on M's shape — identical for every
-# batch size of the same model — so both engines always take the same path.
+# batch size of the same model — so a chain takes the same path in a
+# lockstep batch as alone.
 _ROWMAT_BLAS_CUTOVER = 8192
 
 

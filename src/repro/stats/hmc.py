@@ -4,37 +4,22 @@ Used for the unconstrained posterior of BayesWC's survival model
 (Eq. 5.12).  Plain leapfrog HMC with a diagonal unit mass matrix and the
 Hoffman–Gelman dual-averaging schedule for the step size during warmup.
 
-This module is a thin adapter over the lockstep batched core
-(:mod:`repro.stats.batched`): a single chain runs as a batch of one, and
-:func:`hmc_sample_chains` stacks all chains of a cell into one lockstep
-batch under the default ``batched`` engine (``REPRO_SAMPLER=perchain``
-restores chain-at-a-time execution; the two are bit-identical — see
-:mod:`repro.stats.engine`).  The shared dataclasses and the healing
-driver live in :mod:`repro.stats.base` and are re-exported here under
-their historical names.
+Both entry points are thin calls into the lockstep sampler
+(:mod:`repro.stats.batched`) in free flight: a single chain runs as a
+batch of one, and :func:`hmc_sample_chains` advances all chains of a cell
+in one lockstep batch.  The shared dataclasses live in
+:mod:`repro.stats.base` and are re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import batched, engine
-from .base import (  # noqa: F401  (re-exported public/historical API)
-    HMCConfig,
-    HMCResult,
-    LogDensityAndGrad,
-    _DualAveraging,
-    _find_initial_step_unconstrained,
-    _sampler_counters,
-    count_gradient_evals,
-    heal_continue,
-    leapfrog,
-    sample_with_healing,
-)
-from .densities import CountingDensity, LoopDensity, as_batched
-from .. import faultinject, telemetry
+from . import batched
+from .base import HMCConfig, HMCResult, LogDensityAndGrad
+from .densities import as_batched
 
 
 def hmc_sample(
@@ -52,13 +37,13 @@ def hmc_sample(
     bit-generator — and transparently resumes mid-chain on rerun,
     producing draws identical to an uninterrupted chain.
     """
-    return batched.single_hmc(
+    return batched.single(
         as_batched(logdensity_and_grad),
+        None,
         np.asarray(initial, dtype=float),
         config,
         rng,
         checkpoint_key,
-        engine.current(),
     )
 
 
@@ -71,69 +56,8 @@ def hmc_sample_chains(
 ) -> HMCResult:
     """Run several self-healing chains from different starts; concatenates draws.
 
-    Chains draw from independent per-chain rng streams spawned off
-    ``rng`` (see :func:`repro.stats.engine.spawn_streams`), which is what
-    lets the ``batched`` engine advance them in lockstep.  Fault-injected
-    densities force the ``perchain`` engine so injected-clause counters
-    fire in chain order.
+    See :func:`repro.stats.batched.sample_chains`.
     """
-    raw = logdensity_and_grad
-    wrapped = faultinject.wrap_logdensity(raw, fault_key)
-    mode = engine.current()
-    if wrapped is not raw:
-        mode = engine.PERCHAIN
-        density = LoopDensity(wrapped)
-    else:
-        density = as_batched(raw)
-    grad_evals = None
-    if telemetry.enabled():
-        grad_evals = [0]
-        density = CountingDensity(density, grad_evals)
-    with telemetry.span(
-        "sampler.hmc",
-        n_samples=config.n_samples,
-        n_warmup=config.n_warmup,
-        engine=mode,
-    ) as tspan:
-        starts = [np.asarray(p, dtype=float) for p in initial_points]
-        streams = engine.spawn_streams(rng, len(starts))
-        keys = [f"hmc/{fault_key}/chain{i}" for i in range(len(starts))]
-        results = batched.run_hmc_batch(density, starts, config, streams, keys, mode)
-        chains = []
-        rates = []
-        logps = []
-        diagnostics: List[Dict[str, float]] = []
-        divergences = 0
-        retries = 0
-        leapfrog_steps = 0
-        for chain_index, result in enumerate(results):
-            chains.append(result.samples)
-            logps.append(result.logdensities)
-            rates.append(result.accept_rate)
-            divergences += result.divergences
-            retries += result.retries
-            leapfrog_steps += result.leapfrog_steps
-            diagnostics.append(
-                {
-                    "chain": float(chain_index),
-                    "divergences": float(result.divergences),
-                    "retries": float(result.retries),
-                    "step_size": float(result.step_size),
-                    "accept_rate": float(result.accept_rate),
-                }
-            )
-        accept_rate = float(np.mean(rates))
-        tspan.set(chains=len(chains), divergences=divergences, retries=retries)
-        _sampler_counters(
-            "hmc", accept_rate, divergences, retries, leapfrog_steps, grad_evals
-        )
-        return HMCResult(
-            np.concatenate(chains, axis=0),
-            accept_rate,
-            0.0,
-            np.concatenate(logps),
-            divergences=divergences,
-            retries=retries,
-            leapfrog_steps=leapfrog_steps,
-            chain_diagnostics=diagnostics,
-        )
+    return batched.sample_chains(
+        logdensity_and_grad, None, initial_points, config, rng, fault_key
+    )

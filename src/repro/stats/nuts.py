@@ -5,38 +5,36 @@ survival posterior (the paper's "innovations from the sampling algorithm
 literature").  Implements the slice-variant recursive tree doubling with
 dual-averaging step-size adaptation during warmup.
 
-NUTS is the one sampler the lockstep batched engine does not stack: the
-recursive tree consumes the rng a data-dependent number of times per
-iteration, so chains cannot share a batched density evaluation without
-changing their bit-streams.  Both engines therefore run the same
-sequential per-chain loop below — trivially bit-identical — over the
-same per-chain rng streams (:func:`repro.stats.engine.spawn_streams`)
-that HMC and reflective HMC use, so a cell's chain ``i`` sees the same
-stream regardless of algorithm choice.
+NUTS is the one sampler the lockstep core does not stack: the recursive
+tree consumes the rng a data-dependent number of times per iteration, so
+chains cannot share a batched density evaluation without changing their
+bit-streams.  Its chains run one after another, over the same per-chain
+rng streams (:func:`repro.stats.batched.spawn_streams`) that HMC and
+reflective HMC use, so a cell's chain ``i`` sees the same stream
+regardless of algorithm choice.  The initial step search is the lockstep
+core's, run as a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from . import engine as engine_mod
 from .base import (
     HMCConfig,
     HMCResult,
+    LogDensityAndGrad,
     _DualAveraging,
-    _find_initial_step_unconstrained,
-    _sampler_counters,
-    count_gradient_evals,
+    combine_chains,
     sample_with_healing,
 )
+from .batched import _find_initial_step_row, spawn_streams
+from .densities import CountingDensity, as_batched
 from .. import checkpoint, faultinject, telemetry
 from ..errors import InferenceError
-
-LogDensityAndGrad = Callable[[np.ndarray], Tuple[float, np.ndarray]]
 
 #: maximum tree depth (2^10 = 1024 leapfrog steps per iteration at most)
 MAX_TREE_DEPTH = 10
@@ -138,11 +136,10 @@ def nuts_sample(
     iteration, but the per-iteration state (position, step, adapter, rng
     bit-generator) is all a resumed chain needs to replay identically.
     """
+    density = as_batched(logdensity_and_grad)
     q = np.asarray(initial, dtype=float).copy()
     dim = q.size
-    cursor = checkpoint.chain_cursor(
-        checkpoint_key, config, q, engine=engine_mod.current()
-    )
+    cursor = checkpoint.chain_cursor(checkpoint_key, config, q)
     saved = cursor.load() if cursor is not None else None
     if saved is not None and saved["status"] == "done":
         checkpoint.restore_rng(rng, saved["rng"])
@@ -175,11 +172,11 @@ def nuts_sample(
         start_iteration = int(saved["iteration"])
         checkpoint.restore_rng(rng, saved["rng"])
     else:
-        logp, g = logdensity_and_grad(q)
+        logp, g = density(q)
         if not np.isfinite(logp):
             raise InferenceError("NUTS initial position has zero density")
-        step = _find_initial_step_unconstrained(
-            logdensity_and_grad, q, logp, g, rng, config.initial_step_size
+        step = _find_initial_step_row(
+            density, None, q, logp, g, rng, config.initial_step_size
         )
         adapter = _DualAveraging(step, config.target_accept)
         accept_stat = 0.0
@@ -225,12 +222,12 @@ def nuts_sample(
             direction = 1 if rng.uniform() < 0.5 else -1
             if direction == -1:
                 tree = _build_tree(
-                    q_minus, p_minus, g_minus, log_u, direction, depth, step, joint0, logdensity_and_grad, rng
+                    q_minus, p_minus, g_minus, log_u, direction, depth, step, joint0, density, rng
                 )
                 q_minus, p_minus, g_minus = tree.q_minus, tree.p_minus, tree.g_minus
             else:
                 tree = _build_tree(
-                    q_plus, p_plus, g_plus, log_u, direction, depth, step, joint0, logdensity_and_grad, rng
+                    q_plus, p_plus, g_plus, log_u, direction, depth, step, joint0, density, rng
                 )
                 q_plus, p_plus, g_plus = tree.q_plus, tree.p_plus, tree.g_plus
 
@@ -288,54 +285,25 @@ def nuts_sample_chains(
     rng: np.random.Generator,
     fault_key: str = "nuts",
 ) -> HMCResult:
-    logdensity_and_grad = faultinject.wrap_logdensity(logdensity_and_grad, fault_key)
+    """Several self-healing NUTS chains, run one after another; concatenated draws."""
+    density = as_batched(faultinject.wrap_logdensity(logdensity_and_grad, fault_key))
     grad_evals = None
     if telemetry.enabled():
-        logdensity_and_grad, grad_evals = count_gradient_evals(logdensity_and_grad)
+        grad_evals = [0]
+        density = CountingDensity(density, grad_evals)
     with telemetry.span(
-        "sampler.nuts",
-        n_samples=config.n_samples,
-        n_warmup=config.n_warmup,
-        engine=engine_mod.current(),
+        "sampler.nuts", n_samples=config.n_samples, n_warmup=config.n_warmup
     ) as tspan:
         starts = [np.asarray(p, float) for p in initial_points]
-        streams = engine_mod.spawn_streams(rng, len(starts))
-        chains, logps, rates = [], [], []
-        diagnostics: List[Dict[str, float]] = []
-        divergences = 0
-        retries = 0
-        for chain_index, start in enumerate(starts):
-            ckpt_key = f"nuts/{fault_key}/chain{chain_index}"
-            result = sample_with_healing(
-                lambda cfg, r, _start=start, _key=ckpt_key: nuts_sample(
-                    logdensity_and_grad, _start, cfg, r, checkpoint_key=_key
+        streams = spawn_streams(rng, len(starts))
+        results = [
+            sample_with_healing(
+                lambda cfg, r, _start=start, _key=f"nuts/{fault_key}/chain{i}": nuts_sample(
+                    density, _start, cfg, r, checkpoint_key=_key
                 ),
                 config,
-                streams[chain_index],
+                streams[i],
             )
-            chains.append(result.samples)
-            logps.append(result.logdensities)
-            rates.append(result.accept_rate)
-            divergences += result.divergences
-            retries += result.retries
-            diagnostics.append(
-                {
-                    "chain": float(chain_index),
-                    "divergences": float(result.divergences),
-                    "retries": float(result.retries),
-                    "step_size": float(result.step_size),
-                    "accept_rate": float(result.accept_rate),
-                }
-            )
-        accept_rate = float(np.mean(rates))
-        tspan.set(chains=len(chains), divergences=divergences, retries=retries)
-        _sampler_counters("nuts", accept_rate, divergences, retries, 0, grad_evals)
-        return HMCResult(
-            np.concatenate(chains, axis=0),
-            accept_rate,
-            0.0,
-            np.concatenate(logps),
-            divergences=divergences,
-            retries=retries,
-            chain_diagnostics=diagnostics,
-        )
+            for i, start in enumerate(starts)
+        ]
+        return combine_chains("nuts", results, grad_evals, tspan)

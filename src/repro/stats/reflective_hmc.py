@@ -7,184 +7,26 @@ algorithm behind the Volesti library the paper uses).  Between
 reflections the dynamics are standard HMC, so the stationary distribution
 is the target density restricted to the polytope.
 
-Sampling runs on the lockstep batched core (:mod:`repro.stats.batched`):
-:func:`reflective_hmc_sample` is a batch-of-one adapter and
-:func:`reflective_hmc_chains` stacks a cell's chains into one batch under
-the default ``batched`` engine (``REPRO_SAMPLER=perchain`` restores
-chain-at-a-time execution, bit-identically).  The scalar drift/leapfrog
-kernels below are kept as the reference implementation the property
-tests compare the batched geometry against, and for the warm-start
-helpers (:func:`map_estimate` etc.) that don't sample at all.
+Sampling is the lockstep sampler of :mod:`repro.stats.batched` with a
+:class:`~repro.stats.batched.BatchedDriftEngine` for the polytope:
+:func:`reflective_hmc_sample` runs one chain as a batch of one and
+:func:`reflective_hmc_chains` advances all chains of a cell in one
+lockstep batch.  The warm-start helpers below (:func:`map_estimate` etc.)
+don't sample at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import batched
-from . import engine as engine_mod
-from .base import (  # noqa: F401  (re-exported public/historical API)
-    HMCConfig,
-    ReflectiveHMCResult,
-    _DualAveraging,
-    _sampler_counters,
-    count_gradient_evals,
-    sample_with_healing,
-)
-from .densities import CountingDensity, LoopDensity, as_batched
+from .base import HMCConfig, LogDensityAndGrad, ReflectiveHMCResult
+from .densities import as_batched
 from .polytope import Polytope
-from .. import faultinject, telemetry
-
-LogDensityAndGrad = Callable[[np.ndarray], Tuple[float, np.ndarray]]
-
-#: maximum wall reflections within a single leapfrog position update
-MAX_REFLECTIONS = batched.MAX_REFLECTIONS
-
-
-class _DriftEngine:
-    """Precomputed reflection geometry for one polytope (scalar reference).
-
-    Caches the Gram matrix ``G = A Aᵀ`` so that, inside a drift, the facet
-    products ``A·p`` and the slacks are updated *incrementally*: a
-    reflection off facet ``h`` changes ``A·p`` by ``-2α·G[:,h]`` (O(m))
-    instead of requiring a fresh O(m·n) matvec.  The samplers use the
-    batched :class:`repro.stats.batched.BatchedDriftEngine`; this scalar
-    twin is the oracle the property tests check it against.
-    """
-
-    def __init__(self, polytope: Polytope):
-        self.polytope = polytope
-        self.A = polytope.A
-        self.b = polytope.b
-        m = self.A.shape[0]
-        if m:
-            self.gram = self.A @ self.A.T
-            self.row_sq = np.einsum("ij,ij->i", self.A, self.A)
-        else:
-            self.gram = np.zeros((0, 0))
-            self.row_sq = np.zeros(0)
-
-    def drift(self, q: np.ndarray, p: np.ndarray, dt: float):
-        """Advance ``q`` by time ``dt`` along ``p``, reflecting at facets.
-
-        Returns (q', p', #reflections, ok); ``ok`` is False when the
-        reflection budget is exhausted (the proposal is then rejected).
-        """
-        A, b = self.A, self.b
-        if A.shape[0] == 0:
-            return q + dt * p, p, 0, True
-        remaining = dt
-        reflections = 0
-        Ap = A @ p
-        slack = b - A @ q
-        while remaining > 1e-14:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                times = np.where(Ap > 1e-13, slack / Ap, np.inf)
-            times = np.where(times >= -1e-12, np.maximum(times, 0.0), np.inf)
-            hit = int(np.argmin(times))
-            t_hit = float(times[hit])
-            if t_hit >= remaining:
-                q = q + remaining * p
-                return q, p, reflections, True
-            # advance to the wall; update q/slack and reflect p incrementally
-            q = q + t_hit * p
-            slack = slack - t_hit * Ap
-            slack[hit] = 0.0
-            alpha = 2.0 * Ap[hit] / self.row_sq[hit]
-            p = p - alpha * A[hit]
-            Ap = Ap - alpha * self.gram[hit]
-            remaining -= t_hit
-            reflections += 1
-            if reflections > MAX_REFLECTIONS:
-                return q, p, reflections, False
-        return q, p, reflections, True
-
-
-def _reflective_drift(
-    q: np.ndarray,
-    p: np.ndarray,
-    dt: float,
-    polytope: Polytope,
-) -> Tuple[np.ndarray, np.ndarray, int, bool]:
-    """Uncached single drift (kept for tests; samplers use the batched engine)."""
-    return _DriftEngine(polytope).drift(q, p, dt)
-
-
-def _leapfrog_reflective(
-    q: np.ndarray,
-    p: np.ndarray,
-    grad: np.ndarray,
-    step_size: float,
-    n_steps: int,
-    logdensity_and_grad: LogDensityAndGrad,
-    polytope_or_engine,
-):
-    """Scalar reflective leapfrog (reference for the property tests)."""
-    drift_engine = (
-        polytope_or_engine
-        if isinstance(polytope_or_engine, _DriftEngine)
-        else _DriftEngine(polytope_or_engine)
-    )
-    polytope = drift_engine.polytope
-    total_reflections = 0
-    p = p + 0.5 * step_size * grad
-    logp, g = -np.inf, grad
-    for step in range(n_steps):
-        q, p, refl, ok = drift_engine.drift(q, p, step_size)
-        total_reflections += refl
-        # require the proposal to stay inside: accepting a state even
-        # marginally outside the polytope wedges the chain forever
-        if not ok or not polytope.contains(q, tol=0.0):
-            return q, p, -np.inf, g, total_reflections
-        logp, g = logdensity_and_grad(q)
-        if not np.isfinite(logp) or not np.all(np.isfinite(g)):
-            return q, p, -np.inf, g, total_reflections
-        if step < n_steps - 1:
-            p = p + step_size * g
-    p = p + 0.5 * step_size * g
-    return q, p, logp, g, total_reflections
-
-
-def _find_initial_step(
-    logdensity_and_grad: LogDensityAndGrad,
-    polytope_or_engine,
-    q: np.ndarray,
-    logp: float,
-    grad: np.ndarray,
-    rng: np.random.Generator,
-    start: float,
-) -> float:
-    """Stan-style heuristic: scale the step until a single leapfrog step has
-    acceptance probability near 1/2.  Prevents dual averaging from having to
-    recover from a catastrophically mis-scaled initial step."""
-    step = start
-    momentum = rng.normal(size=q.size)
-    h0 = -logp + 0.5 * float(momentum @ momentum)
-
-    def accept_prob(step_size: float) -> float:
-        qn, pn, lpn, _gn, _r = _leapfrog_reflective(
-            q.copy(), momentum.copy(), grad, step_size, 1, logdensity_and_grad, polytope_or_engine
-        )
-        if not np.isfinite(lpn):
-            return 0.0
-        h1 = -lpn + 0.5 * float(pn @ pn)
-        return math.exp(min(0.0, h0 - h1))
-
-    a = accept_prob(step)
-    direction = 1 if a > 0.5 else -1
-    for _ in range(60):
-        step_next = step * (2.0 if direction == 1 else 0.5)
-        a_next = accept_prob(step_next)
-        if (direction == 1 and a_next < 0.5) or (direction == -1 and a_next > 0.5):
-            return step_next if direction == -1 else step
-        step = step_next
-        if step < 1e-14 or step > 1e6:
-            break
-    return step
 
 
 def reflective_hmc_sample(
@@ -202,14 +44,13 @@ def reflective_hmc_sample(
     deterministically from the polytope, but the step clamp (derived from
     the rng-consuming initial-step search) is part of the snapshot.
     """
-    return batched.single_reflective(
+    return batched.single(
         as_batched(logdensity_and_grad),
-        polytope,
+        batched.BatchedDriftEngine(polytope),
         np.asarray(initial, dtype=float),
         config,
         rng,
         checkpoint_key,
-        engine_mod.current(),
     )
 
 
@@ -348,73 +189,8 @@ def reflective_hmc_chains(
 ) -> ReflectiveHMCResult:
     """Several self-healing chains, concatenated draws.
 
-    Chains draw from independent per-chain rng streams spawned off
-    ``rng``, which is what lets the ``batched`` engine advance them in
-    lockstep.  Fault-injected densities force the ``perchain`` engine so
-    injected-clause counters fire in chain order.
+    See :func:`repro.stats.batched.sample_chains`.
     """
-    raw = logdensity_and_grad
-    wrapped = faultinject.wrap_logdensity(raw, fault_key)
-    mode = engine_mod.current()
-    if wrapped is not raw:
-        mode = engine_mod.PERCHAIN
-        density = LoopDensity(wrapped)
-    else:
-        density = as_batched(raw)
-    grad_evals = None
-    if telemetry.enabled():
-        grad_evals = [0]
-        density = CountingDensity(density, grad_evals)
-    with telemetry.span(
-        "sampler.reflective",
-        n_samples=config.n_samples,
-        n_warmup=config.n_warmup,
-        facets=int(polytope.A.shape[0]),
-        engine=mode,
-    ) as tspan:
-        starts = [np.asarray(p, dtype=float) for p in initial_points]
-        streams = engine_mod.spawn_streams(rng, len(starts))
-        keys = [f"reflective/{fault_key}/chain{i}" for i in range(len(starts))]
-        results = batched.run_reflective_batch(
-            density, polytope, starts, config, streams, keys, mode
-        )
-        chains = []
-        rates = []
-        reflections = 0
-        diagnostics: List[Dict[str, float]] = []
-        divergences = 0
-        retries = 0
-        for chain_index, result in enumerate(results):
-            chains.append(result.samples)
-            rates.append(result.accept_rate)
-            reflections += result.n_reflections
-            divergences += result.divergences
-            retries += result.retries
-            diagnostics.append(
-                {
-                    "chain": float(chain_index),
-                    "divergences": float(result.divergences),
-                    "retries": float(result.retries),
-                    "step_size": float(result.step_size),
-                    "accept_rate": float(result.accept_rate),
-                }
-            )
-        accept_rate = float(np.mean(rates))
-        tspan.set(
-            chains=len(chains),
-            divergences=divergences,
-            retries=retries,
-            reflections=reflections,
-        )
-        _sampler_counters("reflective", accept_rate, divergences, retries, 0, grad_evals)
-        if reflections:
-            telemetry.counter("sampler.reflections", reflections, sampler="reflective")
-        return ReflectiveHMCResult(
-            np.concatenate(chains, axis=0),
-            accept_rate,
-            0.0,
-            reflections,
-            divergences=divergences,
-            retries=retries,
-            chain_diagnostics=diagnostics,
-        )
+    return batched.sample_chains(
+        logdensity_and_grad, polytope, initial_points, config, rng, fault_key
+    )

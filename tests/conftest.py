@@ -13,7 +13,6 @@ import os
 import pytest
 
 from repro import checkpoint, faultinject, telemetry
-from repro.stats import engine as sampler_engine
 
 # the IR verifier is always on in tests: every normalize call in the whole
 # suite doubles as a uniquify/ANF/share invariant check (violations raise
@@ -28,11 +27,6 @@ _ENV_VARS = (
     faultinject.ENV_STATE,
     telemetry.ENV_TRACE,
 )
-
-# the sampler engine selector is different: CI's engine matrix exports it
-# for a whole suite run, so tests must SEE the ambient value — but a test
-# that overrides it (the equivalence suite) must not leak its choice
-_AMBIENT_SAMPLER = os.environ.get(sampler_engine.ENV_SAMPLER)
 
 
 @pytest.fixture
@@ -131,10 +125,6 @@ def _durable_env(tmp_path, monkeypatch):
 
     for var in _ENV_VARS:
         os.environ.pop(var, None)
-    if _AMBIENT_SAMPLER is None:
-        os.environ.pop(sampler_engine.ENV_SAMPLER, None)
-    else:
-        os.environ[sampler_engine.ENV_SAMPLER] = _AMBIENT_SAMPLER
     checkpoint.disable()
     faultinject.uninstall()
     telemetry.disable()

@@ -11,13 +11,13 @@ heart of BayesPC's sampler.  Three families of invariants pin it down:
 * **integrator structure** — the batched leapfrog is time-reversible
   and near-conserves the Hamiltonian at small steps, and every kernel
   is *batch-size stable*: a row's result is bit-identical whether it is
-  integrated alone or stacked with other chains (the property that makes
-  the ``batched`` and ``perchain`` engines interchangeable).
+  integrated alone or stacked with other chains (the property that lets
+  a cell's chains run in one lockstep batch).
 
-The scalar ``_DriftEngine`` in :mod:`repro.stats.reflective_hmc` serves
-as the oracle for trajectories with unambiguous geometry (endpoints well
-clear of any facet), since the batched engine resolves grazing contacts
-through its convexity direct path rather than the hit-time machinery.
+The scalar :class:`tests.drift_oracle.DriftOracle` serves as the oracle
+for trajectories with unambiguous geometry (endpoints well clear of any
+facet), since the batched engine resolves grazing contacts through its
+convexity direct path rather than the hit-time machinery.
 """
 
 import numpy as np
@@ -25,10 +25,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.stats.batched import BatchedDriftEngine, leapfrog_batch, leapfrog_reflective_batch
-from repro.stats.densities import LoopDensity, as_batched
+from repro.stats.batched import BatchedDriftEngine, leapfrog_batch
+from repro.stats.densities import as_batched
 from repro.stats.polytope import Polytope
-from repro.stats.reflective_hmc import _DriftEngine
+from tests.drift_oracle import DriftOracle
 
 # geometric tests derive their data from seeded generators: Hypothesis
 # shrinks the seeds, while the generated geometry stays non-degenerate
@@ -171,7 +171,7 @@ class TestScalarOracle:
         rng = np.random.default_rng(seed)
         poly = random_polytope(dim, rng)
         batched_engine = BatchedDriftEngine(poly)
-        scalar_engine = _DriftEngine(poly)
+        scalar_engine = DriftOracle(poly)
         q = interior_point(poly, rng)
         p = rng.normal(size=dim) * rng.uniform(0.2, 3.0)
         dt = float(rng.uniform(0.05, 2.0))
@@ -201,9 +201,9 @@ class TestLeapfrogStructure:
         _lp, G0 = density.batched(Q0)
         step = rng.uniform(0.01, 0.15, size=rows)
         n_steps = rng.integers(1, 8, size=rows)
-        q1, p1, _lp1, g1 = leapfrog_batch(density, Q0, P0, G0, step, n_steps)
+        q1, p1, _lp1, g1, _r1 = leapfrog_batch(density, None, Q0, P0, G0, step, n_steps)
         # integrating back with reversed momentum returns to the start
-        q2, p2, _lp2, _g2 = leapfrog_batch(density, q1, -p1, g1, step, n_steps)
+        q2, p2, _lp2, _g2, _r2 = leapfrog_batch(density, None, q1, -p1, g1, step, n_steps)
         np.testing.assert_allclose(q2, Q0, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(-p2, P0, rtol=1e-8, atol=1e-10)
 
@@ -220,8 +220,8 @@ class TestLeapfrogStructure:
         h0 = -lp0[0] + 0.5 * float(P0[0] @ P0[0])
 
         def energy_error(step, n):
-            q, p, lp, _g = leapfrog_batch(
-                density, Q0, P0, G0, np.array([step]), np.array([n])
+            q, p, lp, _g, _r = leapfrog_batch(
+                density, None, Q0, P0, G0, np.array([step]), np.array([n])
             )
             return abs((-lp[0] + 0.5 * float(p[0] @ p[0])) - h0)
 
@@ -245,20 +245,16 @@ class TestLeapfrogStructure:
         _lp, G0 = density.batched(Q0)
         step = rng.uniform(0.01, 0.1, size=2)
         n_steps = rng.integers(1, 6, size=2)
-        q1, p1, _l1, g1, refl = leapfrog_reflective_batch(
-            density, drift, Q0, P0, G0, step, n_steps
-        )
+        q1, p1, _l1, g1, refl = leapfrog_batch(density, drift, Q0, P0, G0, step, n_steps)
         assert np.all(refl == 0)
-        q2, p2, _l2, _g2, _r2 = leapfrog_reflective_batch(
-            density, drift, q1, -p1, g1, step, n_steps
-        )
+        q2, p2, _l2, _g2, _r2 = leapfrog_batch(density, drift, q1, -p1, g1, step, n_steps)
         np.testing.assert_allclose(q2, Q0, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(-p2, P0, rtol=1e-8, atol=1e-10)
 
 
 class TestBatchSizeStability:
-    """The engine-equivalence contract: a row computes the same bits
-    alone as in a stack."""
+    """The lockstep contract: a row computes the same bits alone as in a
+    stack."""
 
     @given(seed=seeds, dim=dims)
     @settings(max_examples=60, deadline=None)
@@ -290,10 +286,11 @@ class TestBatchSizeStability:
         _lp, G0 = density.batched(Q0)
         step = rng.uniform(0.02, 0.2, size=rows)
         n_steps = rng.integers(1, 9, size=rows)
-        qb, pb, lpb, gb = leapfrog_batch(density, Q0, P0, G0, step, n_steps)
+        qb, pb, lpb, gb, _rb = leapfrog_batch(density, None, Q0, P0, G0, step, n_steps)
         for i in range(rows):
-            q1, p1, lp1, g1 = leapfrog_batch(
+            q1, p1, lp1, g1, _r1 = leapfrog_batch(
                 density,
+                None,
                 Q0[i : i + 1],
                 P0[i : i + 1],
                 G0[i : i + 1],

@@ -15,11 +15,11 @@ import os
 import numpy as np
 import pytest
 
-from repro import checkpoint
-from repro.stats.hmc import HMCConfig, hmc_sample
-from repro.stats.nuts import nuts_sample
+from repro import checkpoint, faultinject
+from repro.stats.hmc import HMCConfig, hmc_sample, hmc_sample_chains
+from repro.stats.nuts import nuts_sample, nuts_sample_chains
 from repro.stats.polytope import Polytope
-from repro.stats.reflective_hmc import reflective_hmc_sample
+from repro.stats.reflective_hmc import reflective_hmc_chains, reflective_hmc_sample
 
 
 def std_normal(x):
@@ -116,6 +116,53 @@ class TestInterruptedEqualsUninterrupted:
                 )
         # a mismatched fingerprint reruns the chain rather than replaying
         assert result.samples.shape[0] == other.n_samples
+
+
+def run_chains(name, logp):
+    """Two chains of ``name`` under its default fault key."""
+    starts = [np.full(2, 0.1), np.full(2, -0.2)]
+    rng = np.random.default_rng(7)
+    if name == "hmc":
+        return hmc_sample_chains(logp, starts, CFG, rng)
+    if name == "nuts":
+        return nuts_sample_chains(logp, starts, CFG, rng)
+    return reflective_hmc_chains(logp, box_polytope(), starts, CFG, rng)
+
+
+@pytest.mark.parametrize("sampler", ["hmc", "nuts", "reflective"])
+class TestFaultPlanFingerprint:
+    """Snapshots written while NaNs were injected are never replayed by a
+    clean rerun: the log-density fault plan is part of the fingerprint."""
+
+    FAULT_KEYS = {"hmc": "hmc", "nuts": "nuts", "reflective": "bayespc"}
+
+    def test_clean_rerun_equals_a_fault_free_run(self, sampler, tmp_path):
+        calls = [0]
+
+        def counting(x):
+            calls[0] += 1
+            return std_normal(x)
+
+        fault_free = run_chains(sampler, counting)
+        fault_free_calls = calls[0]
+        checkpoint.enable(tmp_path / "ckpt", interval=5)
+        with checkpoint.task_scope("cell/faults"):
+            faultinject.install(
+                faultinject.FaultPlan.parse(
+                    f"nan-logdensity:match={self.FAULT_KEYS[sampler]}"
+                    ":count=-1:prob=0.2:seed=4"
+                )
+            )
+            faulted = run_chains(sampler, std_normal)
+            faultinject.uninstall()
+            calls[0] = 0
+            clean = run_chains(sampler, counting)
+        # the plan changed the draws, and the clean rerun ran every chain
+        # afresh instead of replaying the faulted snapshots
+        assert not np.array_equal(faulted.samples, fault_free.samples)
+        assert np.array_equal(clean.samples, fault_free.samples)
+        assert clean.chain_diagnostics == fault_free.chain_diagnostics
+        assert calls[0] == fault_free_calls
 
 
 class TestChainCheckpoint:

@@ -20,7 +20,11 @@ from repro.errors import LPError, ReproError, SamplerDivergenceError
 from repro.evalharness import EvalRunner, expand_grid
 from repro.faultinject import ENV_SPEC, ENV_STATE, FaultPlan, parse_spec
 from repro.lp import LPProblem, solve_lexicographic
-from repro.stats.hmc import HMCConfig, HMCResult, hmc_sample_chains, sample_with_healing
+from repro.stats import spawn_streams
+from repro.stats.base import sample_with_healing
+from repro.stats.hmc import HMCConfig, HMCResult, hmc_sample, hmc_sample_chains
+from repro.stats.polytope import Polytope
+from repro.stats.reflective_hmc import reflective_hmc_chains, reflective_hmc_sample
 from repro.suite import get_benchmark
 
 CONFIG = AnalysisConfig(num_posterior_samples=4, seed=0)
@@ -256,6 +260,63 @@ class TestSamplerHealing:
         result = sample_with_healing(stub, config, np.random.default_rng(0))
         assert calls == [0.4, 0.2]
         assert result.retries == 1 and result.divergences == 0
+
+
+class TestFaultedChainOrder:
+    """A fault-wrapped density runs its chains in order: each chain's
+    attempt 0 and healing restarts finish before the next chain starts.
+    A counted plan's clause counters depend on that order, so the chains
+    must match the same chains run one at a time, in order, on the same
+    spawned streams, under a freshly installed plan."""
+
+    PLAN = "nan-logdensity:match=chaos:count=150:prob=0.3:seed=2"
+    CONFIG = HMCConfig(n_samples=20, n_warmup=10, n_leapfrog=4)
+    STARTS = [np.full(2, 0.1), np.full(2, -0.2), np.full(2, 0.3)]
+    BOX = Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4), ["x", "y"])
+
+    @staticmethod
+    def _gauss(x):
+        return float(-0.5 * np.sum(x * x)), -x
+
+    def one_at_a_time(self, run_one):
+        faultinject.install(FaultPlan.parse(self.PLAN))
+        wrapped = faultinject.wrap_logdensity(self._gauss, "chaos")
+        streams = spawn_streams(np.random.default_rng(5), len(self.STARTS))
+        return [
+            sample_with_healing(
+                lambda cfg, r, _start=start: run_one(wrapped, _start, cfg, r),
+                self.CONFIG,
+                stream,
+            )
+            for start, stream in zip(self.STARTS, streams)
+        ]
+
+    @pytest.mark.parametrize("sampler", ["hmc", "reflective"])
+    def test_chains_match_chains_run_one_at_a_time(self, sampler):
+        faultinject.install(FaultPlan.parse(self.PLAN))
+        rng = np.random.default_rng(5)
+        if sampler == "hmc":
+            result = hmc_sample_chains(
+                self._gauss, self.STARTS, self.CONFIG, rng, fault_key="chaos"
+            )
+            solos = self.one_at_a_time(hmc_sample)
+        else:
+            result = reflective_hmc_chains(
+                self._gauss, self.BOX, self.STARTS, self.CONFIG, rng, fault_key="chaos"
+            )
+            solos = self.one_at_a_time(
+                lambda fn, start, cfg, r: reflective_hmc_sample(fn, self.BOX, start, cfg, r)
+            )
+        # the plan really fired and the first chain really healed
+        assert solos[0].retries > 0
+        for block, solo in zip(np.split(result.samples, len(solos)), solos):
+            assert np.array_equal(block, solo.samples)
+        assert [d["retries"] for d in result.chain_diagnostics] == [
+            float(s.retries) for s in solos
+        ]
+        assert [d["divergences"] for d in result.chain_diagnostics] == [
+            float(s.divergences) for s in solos
+        ]
 
 
 class TestLPFallback:

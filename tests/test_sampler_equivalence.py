@@ -1,24 +1,21 @@
-"""Cross-engine equivalence: ``batched`` ≡ ``perchain``, bit for bit.
+"""Lockstep equivalence: a batch of chains ≡ each chain alone, bit for bit.
 
-The batched sampler engine (:mod:`repro.stats.batched`) stacks all
-chains of a cell into one lockstep ``(n_chains, dim)`` batch; the
-perchain engine runs the very same kernels one chain at a time as
-batches of one.  The contract is *bit-identity*: chain ``i`` must emit
-exactly the same draws, log-densities, accept statistics and rng
-bit-stream under either engine — batching is a pure execution-layout
+The lockstep sampler (:mod:`repro.stats.batched`) stacks all chains of a
+cell into one ``(n_chains, dim)`` batch.  The contract is *bit-identity*:
+chain ``i`` of the batch must emit exactly the draws, log-densities,
+accept statistics and rng bit-stream it emits when run alone, as a batch
+of one, on its spawned stream — batching is a pure execution-layout
 choice, never a numerical one.
 
 These tests sweep all three samplers (HMC, NUTS, reflective HMC) over
 dims × chain counts × seeds, including the fused inference densities
 (BayesWC's :class:`SurvivalDensity`, BayesPC's
-:class:`ScaledReducedDensity`), mid-chain checkpoint/restore under each
-engine, self-healing restarts under each engine, and the
-engine-in-fingerprint rule that forbids silently resuming a chain under
-a different engine than the one that started it.
+:class:`ScaledReducedDensity`), mid-chain checkpoint resume, self-healing
+restarts and zero-density starts.  NUTS never batches its chains; its
+cases pin down that its chains wrapper derives the same streams.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -31,33 +28,15 @@ from repro.inference.bayeswc import build_survival_model
 from repro.inference.dataset import Observation, StatDataset
 from repro.inference.hyperparams import BayesPCHyperparams
 from repro.lp import LinExpr
-from repro.stats import BATCHED, ENV_SAMPLER, PERCHAIN
-from repro.stats.hmc import HMCConfig, hmc_sample_chains
-from repro.stats.nuts import nuts_sample_chains
+from repro.stats import batched, spawn_streams
+from repro.stats.base import sample_with_healing
+from repro.stats.densities import as_batched
+from repro.stats.hmc import HMCConfig, hmc_sample, hmc_sample_chains
+from repro.stats.nuts import nuts_sample, nuts_sample_chains
 from repro.stats.polytope import AffineMap, Polytope, ReducedPolytope
-from repro.stats.reflective_hmc import reflective_hmc_chains
-
-ENGINES = (BATCHED, PERCHAIN)
+from repro.stats.reflective_hmc import reflective_hmc_chains, reflective_hmc_sample
 
 CFG = HMCConfig(n_samples=25, n_warmup=15, n_leapfrog=6)
-
-
-def under(engine, fn):
-    """Run ``fn`` with the sampler engine pinned to ``engine``."""
-    previous = os.environ.get(ENV_SAMPLER)
-    os.environ[ENV_SAMPLER] = engine
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_SAMPLER, None)
-        else:
-            os.environ[ENV_SAMPLER] = previous
-
-
-def both_engines(fn):
-    """``fn(engine)`` under each engine; returns ``(batched, perchain)``."""
-    return tuple(under(engine, lambda: fn(engine)) for engine in ENGINES)
 
 
 def gaussian(dim):
@@ -81,92 +60,116 @@ def box_polytope(dim, half_width=1.0):
     return Polytope(A, b, [f"x{i}" for i in range(dim)])
 
 
-def assert_hmc_equal(a, b):
-    assert np.array_equal(a.samples, b.samples)
-    assert np.array_equal(a.logdensities, b.logdensities)
-    assert a.accept_rate == b.accept_rate
-    assert a.step_size == b.step_size
-    assert a.divergences == b.divergences
-    assert a.retries == b.retries
-    assert a.leapfrog_steps == b.leapfrog_steps
-    assert a.chain_diagnostics == b.chain_diagnostics
+def run_chains(sampler, fn, starts, cfg, seed, polytope=None):
+    """All chains of a cell through the public chains entry point."""
+    rng = np.random.default_rng(seed)
+    if sampler == "hmc":
+        return hmc_sample_chains(fn, starts, cfg, rng)
+    if sampler == "nuts":
+        return nuts_sample_chains(fn, starts, cfg, rng)
+    return reflective_hmc_chains(fn, polytope, starts, cfg, rng)
 
 
-def assert_reflective_equal(a, b):
-    assert np.array_equal(a.samples, b.samples)
-    assert a.accept_rate == b.accept_rate
-    assert a.step_size == b.step_size
-    assert a.n_reflections == b.n_reflections
-    assert a.divergences == b.divergences
-    assert a.retries == b.retries
-    assert a.chain_diagnostics == b.chain_diagnostics
+def run_alone(sampler, fn, starts, cfg, seed, polytope=None):
+    """Each chain alone, as a batch of one with its own healing, on the
+    stream the chains entry point spawns for it."""
+    streams = spawn_streams(np.random.default_rng(seed), len(starts))
+    results = []
+    for start, stream in zip(starts, streams):
+        if sampler == "hmc":
+            def one(cfg_, r, _start=start):
+                return hmc_sample(fn, _start, cfg_, r)
+        elif sampler == "nuts":
+            def one(cfg_, r, _start=start):
+                return nuts_sample(fn, _start, cfg_, r)
+        else:
+            def one(cfg_, r, _start=start):
+                return reflective_hmc_sample(fn, polytope, _start, cfg_, r)
+        results.append(sample_with_healing(one, cfg, stream))
+    return results
+
+
+def assert_matches_alone(batch, alone):
+    """``batch`` (a chains result) is the concatenation of ``alone``."""
+    n = len(alone)
+    for block, solo in zip(np.split(batch.samples, n), alone):
+        assert np.array_equal(block, solo.samples)
+    for block, solo in zip(np.split(batch.logdensities, n), alone):
+        assert np.array_equal(block, solo.logdensities)
+    assert batch.chain_diagnostics == [
+        {
+            "chain": float(i),
+            "divergences": float(solo.divergences),
+            "retries": float(solo.retries),
+            "step_size": float(solo.step_size),
+            "accept_rate": float(solo.accept_rate),
+        }
+        for i, solo in enumerate(alone)
+    ]
+    assert batch.accept_rate == float(np.mean([s.accept_rate for s in alone]))
+    assert batch.divergences == sum(s.divergences for s in alone)
+    assert batch.retries == sum(s.retries for s in alone)
+    assert batch.leapfrog_steps == sum(s.leapfrog_steps for s in alone)
+    if hasattr(batch, "n_reflections"):
+        assert batch.n_reflections == sum(s.n_reflections for s in alone)
 
 
 SWEEP = [(1, 1, 0), (2, 3, 1), (4, 2, 7), (3, 4, 42)]
 
 
 class TestBitIdenticalSweep:
-    """The headline property: engines agree chain-for-chain, bit-for-bit."""
+    """The headline property: a lockstep batch ≡ its chains run alone."""
 
     @pytest.mark.parametrize("dim,n_chains,seed", SWEEP)
     def test_hmc(self, dim, n_chains, seed):
         fn = gaussian(dim)
         starts = starts_for(dim, n_chains, seed)
-        batched, perchain = both_engines(
-            lambda _: hmc_sample_chains(fn, starts, CFG, np.random.default_rng(seed))
-        )
-        assert batched.samples.shape == (n_chains * CFG.n_samples, dim)
-        assert_hmc_equal(batched, perchain)
+        batch = run_chains("hmc", fn, starts, CFG, seed)
+        assert batch.samples.shape == (n_chains * CFG.n_samples, dim)
+        assert_matches_alone(batch, run_alone("hmc", fn, starts, CFG, seed))
 
     @pytest.mark.parametrize("dim,n_chains,seed", SWEEP)
     def test_reflective(self, dim, n_chains, seed):
         fn = gaussian(dim)
         polytope = box_polytope(dim)
         starts = starts_for(dim, n_chains, seed)
-        batched, perchain = both_engines(
-            lambda _: reflective_hmc_chains(
-                fn, polytope, starts, CFG, np.random.default_rng(seed)
-            )
+        batch = run_chains("reflective", fn, starts, CFG, seed, polytope)
+        assert batch.samples.shape == (n_chains * CFG.n_samples, dim)
+        assert_matches_alone(
+            batch, run_alone("reflective", fn, starts, CFG, seed, polytope)
         )
-        assert batched.samples.shape == (n_chains * CFG.n_samples, dim)
-        assert_reflective_equal(batched, perchain)
 
-    # NUTS builds a data-dependent recursive tree, so both engines run the
-    # identical sequential per-chain loop; the sweep still pins down that
-    # the chains adapter (stream spawning, aggregation) is engine-neutral.
+    # NUTS builds a data-dependent recursive tree, so its chains always
+    # run one after another; the sweep still pins down that the chains
+    # wrapper (stream spawning, aggregation) matches chains run alone
     @pytest.mark.parametrize("dim,n_chains,seed", [(2, 2, 3), (3, 3, 11)])
     def test_nuts(self, dim, n_chains, seed):
         fn = gaussian(dim)
         starts = starts_for(dim, n_chains, seed)
-        batched, perchain = both_engines(
-            lambda _: nuts_sample_chains(fn, starts, CFG, np.random.default_rng(seed))
-        )
-        assert batched.samples.shape == (n_chains * CFG.n_samples, dim)
-        assert_hmc_equal(batched, perchain)
+        batch = run_chains("nuts", fn, starts, CFG, seed)
+        assert batch.samples.shape == (n_chains * CFG.n_samples, dim)
+        assert_matches_alone(batch, run_alone("nuts", fn, starts, CFG, seed))
 
     @pytest.mark.parametrize("dim,n_chains,seed", [(2, 3, 5)])
     def test_single_chain_equals_its_row_in_the_batch(self, dim, n_chains, seed):
-        """Chain i of an n-chain run ≡ the same chain run on its own.
+        """One lockstep attempt over all chains ≡ one attempt per chain.
 
-        This is the batch-size-stability invariant stated directly: the
-        lockstep batch must not couple chains numerically.
+        This is the batch-size-stability invariant stated on the chain loop
+        itself, rng included: after the attempt, every chain's stream
+        sits exactly where it sits after running alone.
         """
-        fn = gaussian(dim)
+        density = as_batched(gaussian(dim))
         starts = starts_for(dim, n_chains, seed)
-        full = under(
-            BATCHED,
-            lambda: hmc_sample_chains(fn, starts, CFG, np.random.default_rng(seed)),
-        )
-        # chain i's stream is spawn i of the parent generator, so running
-        # all chains but comparing per-chain blocks against one another's
-        # engines is covered above; here we check block extraction shape
-        per_chain = np.split(full.samples, n_chains, axis=0)
-        solo_streams = under(
-            PERCHAIN,
-            lambda: hmc_sample_chains(fn, starts, CFG, np.random.default_rng(seed)),
-        )
-        for i, block in enumerate(np.split(solo_streams.samples, n_chains, axis=0)):
-            assert np.array_equal(per_chain[i], block)
+        keys = [None] * n_chains
+        streams = spawn_streams(np.random.default_rng(seed), n_chains)
+        lockstep = batched.attempt(density, None, starts, CFG, streams, keys)
+        solo_streams = spawn_streams(np.random.default_rng(seed), n_chains)
+        for start, stream, solo_stream, row in zip(starts, streams, solo_streams, lockstep):
+            alone = batched.attempt(density, None, [start], CFG, [solo_stream], [None])[0]
+            assert np.array_equal(row.samples, alone.samples)
+            assert np.array_equal(row.logdensities, alone.logdensities)
+            assert row.leapfrog_steps == alone.leapfrog_steps
+            assert checkpoint.rng_state(stream) == checkpoint.rng_state(solo_stream)
 
 
 class TestNativeInferenceDensities:
@@ -183,11 +186,9 @@ class TestNativeInferenceDensities:
     def test_hmc_on_survival_density(self):
         density, dim = self.survival_density()
         starts = [np.full(dim, 0.5), np.full(dim, 0.8), np.full(dim, 1.1)]
-        batched, perchain = both_engines(
-            lambda _: hmc_sample_chains(density, starts, CFG, np.random.default_rng(2))
-        )
-        assert_hmc_equal(batched, perchain)
-        assert np.all(np.isfinite(batched.samples))
+        batch = run_chains("hmc", density, starts, CFG, 2)
+        assert_matches_alone(batch, run_alone("hmc", density, starts, CFG, 2))
+        assert np.all(np.isfinite(batch.samples))
 
     def scaled_reduced_density(self):
         names = ["a", "b"]
@@ -214,16 +215,13 @@ class TestNativeInferenceDensities:
     def test_reflective_on_scaled_reduced_density(self):
         fused, polytope = self.scaled_reduced_density()
         starts = [np.array([0.4, 0.4]), np.array([0.6, 0.55])]
-        batched, perchain = both_engines(
-            lambda _: reflective_hmc_chains(
-                fused, polytope, starts, CFG, np.random.default_rng(9)
-            )
+        batch = run_chains("reflective", fused, starts, CFG, 9, polytope)
+        assert_matches_alone(
+            batch, run_alone("reflective", fused, starts, CFG, 9, polytope)
         )
-        assert_reflective_equal(batched, perchain)
         # every draw stays inside the truncation polytope
-        for result in (batched, perchain):
-            assert np.all(result.samples >= -1e-9)
-            assert np.all(result.samples <= 1.0 + 1e-9)
+        assert np.all(batch.samples >= -1e-9)
+        assert np.all(batch.samples <= 1.0 + 1e-9)
 
 
 class Interrupter:
@@ -241,98 +239,35 @@ class Interrupter:
         return self.fn(x)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("n_chains", [1, 3])
 class TestCheckpointEquivalence:
-    """Mid-chain kill + resume is bit-identical under each engine."""
+    """Mid-chain kill + resume is bit-identical, for a batch of one and
+    for a lockstep batch (which resumes its chains one at a time)."""
 
     DIM = 2
-    N_CHAINS = 2
     SEED = 5
 
-    def run_chains(self, sampler, fn, rng):
-        starts = starts_for(self.DIM, self.N_CHAINS, self.SEED)
-        if sampler == "hmc":
-            return hmc_sample_chains(fn, starts, CFG, rng)
-        if sampler == "nuts":
-            return nuts_sample_chains(fn, starts, CFG, rng)
-        return reflective_hmc_chains(fn, box_polytope(self.DIM), starts, CFG, rng)
-
     @pytest.mark.parametrize("sampler", ["hmc", "nuts", "reflective"])
-    def test_midchain_resume_is_bit_identical(self, engine, sampler, tmp_path):
+    def test_midchain_resume_is_bit_identical(self, n_chains, sampler, tmp_path):
         fn = gaussian(self.DIM)
-        golden = under(
-            engine,
-            lambda: self.run_chains(sampler, fn, np.random.default_rng(self.SEED)),
+        starts = starts_for(self.DIM, n_chains, self.SEED)
+        polytope = box_polytope(self.DIM)
+        golden = run_chains(sampler, fn, starts, CFG, self.SEED, polytope)
+        assert_matches_alone(
+            golden, run_alone(sampler, fn, starts, CFG, self.SEED, polytope)
         )
         checkpoint.enable(tmp_path / "ckpt", interval=5)
         with checkpoint.task_scope("cell/equiv"):
-            interrupter = Interrupter(fn, 220)
+            interrupter = Interrupter(fn, 110 * n_chains)
             with pytest.raises(KeyboardInterrupt):
-                under(
-                    engine,
-                    lambda: self.run_chains(
-                        sampler, interrupter, np.random.default_rng(self.SEED)
-                    ),
-                )
+                run_chains(sampler, interrupter, starts, CFG, self.SEED, polytope)
             # the kill must land mid-run, past the first snapshot
             assert interrupter.calls > interrupter.budget
-            resumed = under(
-                engine,
-                lambda: self.run_chains(sampler, fn, np.random.default_rng(self.SEED)),
-            )
+            resumed = run_chains(sampler, fn, starts, CFG, self.SEED, polytope)
         assert np.array_equal(resumed.samples, golden.samples)
+        assert np.array_equal(resumed.logdensities, golden.logdensities)
         assert resumed.accept_rate == golden.accept_rate
         assert resumed.chain_diagnostics == golden.chain_diagnostics
-
-
-class TestEngineFingerprint:
-    """No silent engine mixing across a resume boundary."""
-
-    def test_engine_label_joins_the_fingerprint(self, tmp_path):
-        checkpoint.enable(tmp_path / "ckpt", interval=5)
-        with checkpoint.task_scope("cell"):
-            a = checkpoint.chain_cursor("k", CFG, np.zeros(2), engine=BATCHED)
-            b = checkpoint.chain_cursor("k", CFG, np.zeros(2), engine=PERCHAIN)
-            legacy = checkpoint.chain_cursor("k", CFG, np.zeros(2))
-        assert a.fingerprint["engine"] == BATCHED
-        assert b.fingerprint["engine"] == PERCHAIN
-        assert a.fingerprint != b.fingerprint
-        # distinct fingerprints live in distinct snapshot files
-        assert len({a.path, b.path, legacy.path}) == 3
-        assert "engine" not in legacy.fingerprint
-
-    def test_done_chain_is_not_replayed_by_the_other_engine(self, tmp_path):
-        fn = gaussian(2)
-        starts = starts_for(2, 2, 5)
-        checkpoint.enable(tmp_path / "ckpt", interval=5)
-        with checkpoint.task_scope("cell"):
-            under(
-                BATCHED,
-                lambda: hmc_sample_chains(fn, starts, CFG, np.random.default_rng(5)),
-            )
-
-            calls = [0]
-
-            def counting(x):
-                calls[0] += 1
-                return fn(x)
-
-            # same engine: done chains replay without a single evaluation
-            under(
-                BATCHED,
-                lambda: hmc_sample_chains(
-                    counting, starts, CFG, np.random.default_rng(5)
-                ),
-            )
-            assert calls[0] == 0
-            # other engine: the fingerprint differs, so the chain re-runs
-            under(
-                PERCHAIN,
-                lambda: hmc_sample_chains(
-                    counting, starts, CFG, np.random.default_rng(5)
-                ),
-            )
-            assert calls[0] > 0
 
 
 def hard_ball(radius):
@@ -347,41 +282,37 @@ def hard_ball(radius):
 
 
 class TestHealingEquivalence:
-    """Self-healing restarts fire — and heal — identically under both engines."""
+    """Self-healing restarts fire — and heal — as they do for chains alone."""
 
     def test_restarted_chains_are_bit_identical(self):
         # a tight ball plus a large initial step makes early post-warmup
         # proposals overshoot the support, accumulating divergences past
         # the zero-tolerance threshold; healing halves the step until the
-        # chain stays inside.  Both engines must follow the identical
-        # restart schedule and emit identical draws.
+        # chain stays inside.  The batch must follow each chain's own
+        # restart schedule and emit the same draws.
         fn = hard_ball(1.5)
         cfg = dataclasses.replace(
             CFG, initial_step_size=0.8, divergence_tolerance=0.0, max_restarts=3
         )
         starts = [np.array([0.3, -0.2]), np.array([-0.4, 0.1]), np.array([0.2, 0.2])]
-        batched, perchain = both_engines(
-            lambda _: hmc_sample_chains(fn, starts, cfg, np.random.default_rng(14))
-        )
-        assert_hmc_equal(batched, perchain)
+        batch = run_chains("hmc", fn, starts, cfg, 14)
+        assert_matches_alone(batch, run_alone("hmc", fn, starts, cfg, 14))
         # the healing path must actually have been exercised
-        assert any(d["retries"] > 0 for d in batched.chain_diagnostics)
+        assert any(d["retries"] > 0 for d in batch.chain_diagnostics)
 
     def test_zero_density_start_raises_identically(self):
         fn = hard_ball(1.0)
         cfg = dataclasses.replace(CFG, max_restarts=1)
-        starts = [np.array([5.0, 5.0])]  # far outside the support
-        messages = []
-        for engine in ENGINES:
-            with pytest.raises(SamplerDivergenceError) as excinfo:
-                under(
-                    engine,
-                    lambda: hmc_sample_chains(
-                        fn, starts, cfg, np.random.default_rng(0)
-                    ),
-                )
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
+        # the second start is far outside the support
+        starts = [np.array([0.1, 0.2]), np.array([5.0, 5.0])]
+        with pytest.raises(SamplerDivergenceError) as in_batch:
+            run_chains("hmc", fn, starts, cfg, 0)
+        streams = spawn_streams(np.random.default_rng(0), 2)
+        with pytest.raises(SamplerDivergenceError) as alone:
+            sample_with_healing(
+                lambda cfg_, r: hmc_sample(fn, starts[1], cfg_, r), cfg, streams[1]
+            )
+        assert str(in_batch.value) == str(alone.value)
 
     def test_reflective_healing_is_bit_identical(self):
         # a narrow valley inside the box with zero divergence tolerance:
@@ -397,9 +328,7 @@ class TestHealingEquivalence:
         )
         polytope = box_polytope(2)
         starts = [np.array([0.05, 0.1]), np.array([-0.03, -0.2])]
-        batched, perchain = both_engines(
-            lambda _: reflective_hmc_chains(
-                valley, polytope, starts, cfg, np.random.default_rng(21)
-            )
+        batch = run_chains("reflective", valley, starts, cfg, 21, polytope)
+        assert_matches_alone(
+            batch, run_alone("reflective", valley, starts, cfg, 21, polytope)
         )
-        assert_reflective_equal(batched, perchain)

@@ -10,6 +10,7 @@ so cross-process merges still see every completed event.
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro import faultinject, telemetry
@@ -17,6 +18,9 @@ from repro.config import AnalysisConfig
 from repro.evalharness import EvalRunner, expand_grid, run_benchmark, timing_markdown
 from repro.evalharness.runner import max_rss_kb
 from repro.inference.serialize import result_to_json
+from repro.stats.hmc import HMCConfig
+from repro.stats.polytope import Polytope
+from repro.stats.reflective_hmc import reflective_hmc_chains
 from repro.suite import get_benchmark
 from repro.telemetry import NULL_SPAN
 from repro.telemetry.chrome import load_events, trace_files, write_chrome_trace
@@ -265,6 +269,28 @@ class TestFacialLPAttribution:
         lp_spans = [e for e in events if e["ev"] == "span" and e["stage"] == "lp"]
         assert len(lp_spans) > len(facial)  # the AARA solves are there too
         assert summary.cells["Concat/hybrid/bayespc"].stages["lp"] >= facial_s
+
+
+class TestSamplerCounters:
+    def test_reflective_chains_report_leapfrog_steps(self, tmp_path):
+        telemetry.enable(tmp_path)
+        box = Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4), ["x", "y"])
+        result = reflective_hmc_chains(
+            lambda x: (-0.5 * float(x @ x), -x),
+            box,
+            [np.full(2, 0.1), np.full(2, -0.2)],
+            HMCConfig(n_samples=10, n_warmup=10, n_leapfrog=4),
+            np.random.default_rng(0),
+        )
+        telemetry.disable()
+        counters = {
+            e["name"]: e["value"]
+            for e in load_events(tmp_path)
+            if e["ev"] == "counter" and e["args"].get("sampler") == "reflective"
+        }
+        assert result.leapfrog_steps > 0
+        assert counters["sampler.leapfrog_steps"] == result.leapfrog_steps
+        assert counters["sampler.gradient_evals"] > 0
 
 
 class TestSatellites:
