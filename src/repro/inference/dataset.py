@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .. import telemetry
@@ -33,6 +34,12 @@ class Observation:
 
     def size_key(self) -> Tuple[int, ...]:
         """The projection φ(V, v): env sizes (by variable name) + result sizes."""
+        return self._size_key
+
+    @cached_property
+    def _size_key(self) -> Tuple[int, ...]:
+        # computed on first use and kept in the instance __dict__, outside
+        # the dataclass fields: equality, hashing and repr ignore it
         key: Tuple[int, ...] = ()
         for _name, value in self.env:
             key += sizes_of(value)

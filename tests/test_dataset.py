@@ -1,11 +1,13 @@
 """Runtime dataset and size-projection tests (Sections 3.3, 5.4)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import DatasetError
 from repro.inference import RuntimeDataset, StatDataset, collect_dataset, dataset_from_results
 from repro.inference.dataset import Observation
 from repro.lang import compile_program, evaluate, from_python
+from repro.lang.values import sizes_of
 
 SRC = """
 let rec helper xs =
@@ -105,3 +107,59 @@ class TestMergeAndKeys:
     def test_env_dict(self):
         obs = Observation(env=(("a", 1),), value=2, cost=0.5)
         assert obs.env_dict() == {"a": 1}
+
+
+def _uncached_size_key(obs):
+    """φ(V, v) walked afresh on every call (the projection before caching)."""
+    key = ()
+    for _name, value in obs.env:
+        key += sizes_of(value)
+    return key + sizes_of(obs.value)
+
+
+def _csr_parts(matrices):
+    A_ub, b_ub, A_eq, b_eq, index = matrices
+    parts = [index]
+    for m in (A_ub, A_eq):
+        parts += [m.shape, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()]
+    return parts + [b_ub.tobytes(), b_eq.tobytes()]
+
+
+class TestSizeKeyOncePerObservation:
+    def test_cached_key_stays_out_of_eq_hash_and_repr(self):
+        fresh = Observation(env=(("xs", from_python([1, 2])),), value=3, cost=1.0)
+        used = Observation(env=(("xs", from_python([1, 2])),), value=3, cost=1.0)
+        assert used.size_key() == (2,)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+    def test_hybrid_bayeswc_build_walks_sizes_once(self, monkeypatch):
+        from repro.aara.analyze import build_analysis
+        from repro.inference import dataset as dataset_module
+        from repro.inference.hybrid import SiteCollector, make_data_handler
+        from repro.suite import get_benchmark
+
+        spec = get_benchmark("MapAppend")
+        program = compile_program(spec.hybrid_source)
+        inputs = spec.inputs(np.random.default_rng(0))
+        dataset = collect_dataset(program, spec.hybrid_entry, inputs)
+
+        def build():
+            handler = make_data_handler(dataset, SiteCollector(), cost_mode="wvar")
+            analysis = build_analysis(
+                program, spec.hybrid_entry, spec.degree, stat_handler=handler
+            )
+            return _csr_parts(analysis.lp.to_matrices())
+
+        walks = []
+        monkeypatch.setattr(
+            dataset_module, "sizes_of", lambda value: walks.append(1) or sizes_of(value)
+        )
+        first = build()
+        first_walks = len(walks)
+        second = build()
+        assert first_walks > 0
+        assert len(walks) == first_walks, "the second build re-walked the values"
+
+        monkeypatch.setattr(Observation, "size_key", _uncached_size_key)
+        assert first == second == build()
