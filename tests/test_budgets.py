@@ -166,6 +166,30 @@ class TestInterpreterFuel:
         for _ in range(3):  # each run gets fresh fuel, not a shared tank
             interp.run("count", [10])
 
+    def test_call_depth_resets_after_a_tripped_run(self):
+        program = compile_program(COUNTDOWN)
+        interp = Interpreter(program, max_call_depth=10)
+        for _ in range(3):  # the trip leaves no depth behind for the next run
+            with pytest.raises(BudgetExceededError):
+                interp.run("count", [1_000])
+            assert interp.run("count", [10]).value == 10
+
+    @pytest.mark.parametrize("name", ["program", "collect_stats", "max_call_depth", "max_value_size"])
+    def test_compiled_options_are_read_only(self, name):
+        interp = Interpreter(compile_program(COUNTDOWN), max_call_depth=3, max_value_size=4)
+        before = getattr(interp, name)
+        with pytest.raises(AttributeError):  # a late write must not look honoured
+            setattr(interp, name, None)
+        assert getattr(interp, name) is before
+
+    def test_step_fuel_is_read_at_every_run(self):
+        interp = Interpreter(compile_program(COUNTDOWN))
+        assert interp.run("count", [10]).value == 10
+        interp.max_steps = 50
+        with pytest.raises(BudgetExceededError) as err:
+            interp.run("count", [10])
+        assert err.value.limit == 50
+
 
 # ---------------------------------------------------------------------------
 # Guarded LP construction
