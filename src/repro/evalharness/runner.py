@@ -30,8 +30,7 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +39,7 @@ from .. import backoff, checkpoint, faultinject, telemetry
 from ..atomic import atomic_write_text
 from ..config import AnalysisConfig, DEFAULT_CONFIG
 from ..errors import LintError, ReproError, TaskTimeoutError, failure_stage
-from ..telemetry.console import get_console
+from ..store import Store
 from .journal import RunJournal
 
 #: the canonical Table 1 grid axes — the single source of truth for the
@@ -313,6 +312,27 @@ def verdict_from_json(data: Dict[str, Any]):
     )
 
 
+def task_outcome(task: EvalTask, **fields: Any) -> Dict[str, Any]:
+    """The JSON-safe outcome record of ``task``: its identity, then
+    ``fields`` over an empty, not-yet-ok result."""
+    outcome: Dict[str, Any] = {
+        "task": task.task_id,
+        "kind": task.kind,
+        "benchmark": task.benchmark,
+        "mode": task.mode,
+        "method": task.method,
+        "seed": task.seed,
+        "ok": False,
+        "outcome": "ok",
+        "error": None,
+        "failure": None,
+        "result": None,
+        "verdict": None,
+    }
+    outcome.update(fields)
+    return outcome
+
+
 def execute_task(task: EvalTask) -> Dict[str, Any]:
     """Run one task and return a JSON-safe outcome (runs in a worker).
 
@@ -332,20 +352,7 @@ def execute_task(task: EvalTask) -> Dict[str, Any]:
     checkpoint.ensure_from_env()
     started = time.perf_counter()
     started_ts = time.time()
-    outcome: Dict[str, Any] = {
-        "task": task.task_id,
-        "kind": task.kind,
-        "benchmark": task.benchmark,
-        "mode": task.mode,
-        "method": task.method,
-        "seed": task.seed,
-        "ok": False,
-        "outcome": "ok",
-        "error": None,
-        "failure": None,
-        "result": None,
-        "verdict": None,
-    }
+    outcome = task_outcome(task)
     accumulator = telemetry.stage_totals()
     with contextlib.ExitStack() as stack:
         if accumulator is not None:
@@ -408,24 +415,18 @@ def execute_task(task: EvalTask) -> Dict[str, Any]:
                 )
                 outcome["result"] = result_to_json(result)
                 outcome["ok"] = True
-        except ReproError as exc:
-            outcome["error"] = f"{type(exc).__name__}: {exc}"
-            outcome["outcome"] = "error"
-            outcome["failure"] = {
-                "stage": failure_stage(exc),
-                "error_class": type(exc).__name__,
-                "attempts": 1,
-                "elapsed": time.perf_counter() - started,
-            }
-        except Exception as exc:  # deterministic crash: report, don't retry
-            outcome["error"] = f"crash {type(exc).__name__}: {exc}"
-            outcome["outcome"] = "crash"
-            outcome["failure"] = {
-                "stage": failure_stage(exc),
-                "error_class": type(exc).__name__,
-                "attempts": 1,
-                "elapsed": time.perf_counter() - started,
-            }
+        except Exception as exc:  # ReproError or a deterministic crash: report, don't retry
+            crash = not isinstance(exc, ReproError)
+            outcome.update(
+                outcome="crash" if crash else "error",
+                error=f"{'crash ' if crash else ''}{type(exc).__name__}: {exc}",
+                failure={
+                    "stage": failure_stage(exc),
+                    "error_class": type(exc).__name__,
+                    "attempts": 1,
+                    "elapsed": time.perf_counter() - started,
+                },
+            )
     outcome["metrics"] = {
         "wall_seconds": time.perf_counter() - started,
         "max_rss_kb": max_rss_kb(),
@@ -484,239 +485,71 @@ def run_signature(
     return json.loads(json.dumps(payload, sort_keys=True, default=str))
 
 
-class ResultCache:
-    """On-disk memo of completed tasks, keyed by content hash.
+class ResultCache(Store):
+    """Completed task outcomes: the ``task`` family of :class:`repro.store.Store`.
 
     The key covers everything that determines a task's output: program
     source, entry point, effective (per-mode) configuration, data-
     collection protocol, derived seeds, and a code-version constant.
     Editing one benchmark's source therefore invalidates exactly that
-    benchmark's rows.
-
-    Integrity: every entry embeds a SHA-256 of its outcome payload,
-    verified on load.  An entry that fails verification (torn write,
-    bit rot, an injected ``cache-bitflip``) is *quarantined* — renamed to
-    ``<key>.json.quarantined`` with a console warning — rather than
-    silently deleted, so the evidence survives for diagnosis while the
-    cell transparently recomputes.  :meth:`gc` bounds the cache's disk
-    footprint (LRU by mtime) and sweeps orphaned ``*.tmp`` files left by
-    writers killed mid-``store``.
+    benchmark's rows.  The store verifies every entry on load and
+    quarantines a corrupt one, so a torn write, bit rot or an injected
+    ``cache-bitflip`` only makes that cell recompute.
     """
 
     def __init__(self, root: os.PathLike) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        super().__init__(root, "task", CACHE_VERSION)
 
     def key(self, task: EvalTask) -> str:
-        from ..suite import get_benchmark
+        """Content hash of what determines ``task``'s outcome.
 
-        if task.source is not None:
-            return self._adhoc_key(task)
-        spec = get_benchmark(task.benchmark)
-        payload: Dict[str, Any] = {
-            "cache_version": CACHE_VERSION,
-            "kind": task.kind,
-            "benchmark": task.benchmark,
-        }
-        if task.kind == "conventional":
-            payload.update(
-                source=spec.data_driven_source,
-                entry=spec.data_driven_entry,
-                max_degree=task.conventional_max_degree,
-            )
-        else:
-            source, entry = _mode_variant(spec, task.mode)
-            mode_config = spec.config(task.config, hybrid=(task.mode == "hybrid"))
-            payload.update(
-                mode=task.mode,
-                method=task.method,
-                source=source,
-                entry=entry,
-                degree=spec.degree,
-                config=_config_signature(mode_config),
-                data_sizes=list(spec.data_sizes),
-                repetitions=spec.repetitions,
-                input_seed=input_seed(task.root_seed, task.benchmark),
-                method_seed=task.seed,
-            )
-        blob = json.dumps(payload, sort_keys=True, default=str).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def _adhoc_key(self, task: EvalTask) -> str:
-        """Key for a source task: normalized source replaces registry spec.
-
-        The data-collection protocol constants live in the payload so
-        changing them invalidates exactly the ad-hoc entries.
+        A source task hashes its normalized source and the ad-hoc
+        data-collection protocol in place of a registry spec, so changing
+        that protocol invalidates exactly the ad-hoc entries.
         """
-        from .adhoc import (
-            ADHOC_DATA_SIZES,
-            ADHOC_DEFAULT_DEGREE,
-            ADHOC_REPETITIONS,
-            normalize_source,
-        )
+        if task.source is not None:
+            from . import adhoc
 
+            spec, source, entry = None, adhoc.normalize_source(task.source), task.entry
+            degree = adhoc.ADHOC_DEFAULT_DEGREE if task.degree is None else task.degree
+            data_sizes, repetitions = adhoc.ADHOC_DATA_SIZES, adhoc.ADHOC_REPETITIONS
+        else:
+            from ..suite import get_benchmark
+
+            spec = get_benchmark(task.benchmark)
+            source, entry = _mode_variant(spec, task.mode or "data-driven")
+            degree, data_sizes, repetitions = spec.degree, spec.data_sizes, spec.repetitions
         payload: Dict[str, Any] = {
             "cache_version": CACHE_VERSION,
             "kind": task.kind,
             "benchmark": task.benchmark,
-            "source": normalize_source(task.source),
-            "entry": task.entry,
+            "source": source,
+            "entry": entry,
         }
         if task.kind == "conventional":
             payload.update(max_degree=task.conventional_max_degree)
         else:
+            config = task.config
+            if spec is not None:
+                config = spec.config(config, hybrid=(task.mode == "hybrid"))
             payload.update(
                 mode=task.mode,
                 method=task.method,
-                degree=ADHOC_DEFAULT_DEGREE if task.degree is None else task.degree,
-                config=_config_signature(task.config),
-                data_sizes=list(ADHOC_DATA_SIZES),
-                repetitions=ADHOC_REPETITIONS,
+                degree=degree,
+                config=_config_signature(config),
+                data_sizes=list(data_sizes),
+                repetitions=repetitions,
                 input_seed=input_seed(task.root_seed, task.benchmark),
                 method_seed=task.seed,
             )
         blob = json.dumps(payload, sort_keys=True, default=str).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    @staticmethod
-    def _payload_digest(outcome: Dict[str, Any]) -> str:
-        return hashlib.sha256(
-            json.dumps(outcome, sort_keys=True).encode()
-        ).hexdigest()
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Set a failed entry aside (don't delete the evidence)."""
-        target = path.with_name(path.name + ".quarantined")
-        try:
-            os.replace(path, target)
-        except OSError:
-            return
-        telemetry.counter("cache.quarantined", 1, entry=path.name)
-        get_console().warn(
-            f"cache entry {path.name} failed integrity check ({reason}); "
-            f"quarantined as {target.name} and recomputing"
-        )
-
     def load(self, task: EvalTask) -> Optional[Dict[str, Any]]:
-        key = self.key(task)
-        path = self.path(key)
-        try:
-            text = path.read_text()
-        except (FileNotFoundError, OSError):
-            return None
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("entry is not a JSON object")
-            if payload.get("cache_version") != CACHE_VERSION:
-                # an older code version's format, not corruption: safe to drop
-                with contextlib.suppress(OSError):
-                    path.unlink()
-                return None
-            if payload.get("key") != key:
-                raise ValueError("key mismatch")
-            outcome = payload.get("outcome")
-            if not isinstance(outcome, dict) or "task" not in outcome:
-                raise ValueError("malformed outcome")
-            if payload.get("sha256") != self._payload_digest(outcome):
-                raise ValueError("payload checksum mismatch")
-            return outcome
-        except ValueError as exc:  # json.JSONDecodeError is a ValueError
-            self._quarantine(path, str(exc))
-            return None
+        return super().load(self.key(task))
 
     def store(self, task: EvalTask, outcome: Dict[str, Any]) -> None:
-        key = self.key(task)
-        payload = {
-            "cache_version": CACHE_VERSION,
-            "key": key,
-            "sha256": self._payload_digest(outcome),
-            "outcome": outcome,
-        }
-        blob = json.dumps(payload)
-        final = self.path(key)
-        if faultinject.fault_point(faultinject.CACHE_TORN, task.task_id):
-            # injected torn write: a truncated entry at the *final* path,
-            # as a crashed non-atomic writer would have left behind
-            final.write_text(blob[: max(1, len(blob) // 3)])
-            return
-        if faultinject.fault_point(faultinject.CACHE_BITFLIP, task.task_id):
-            # injected bit rot: flip one payload byte so the entry still
-            # parses-or-not unpredictably but always fails the checksum
-            mid = len(blob) // 2
-            blob = blob[:mid] + chr(ord(blob[mid]) ^ 0x01) + blob[mid + 1 :]
-        atomic_write_text(final, blob)
-
-    def wipe(self) -> int:
-        """Delete all entries (plus orphaned temp and quarantined files);
-        returns the number removed."""
-        removed = 0
-        for pattern in ("*.json", "*.tmp", "*.json.quarantined"):
-            for path in self.root.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def gc(
-        self,
-        max_bytes: Optional[int] = None,
-        tmp_age_seconds: float = 60.0,
-        drop_quarantined: bool = False,
-    ) -> Dict[str, int]:
-        """Bound the cache's disk footprint.
-
-        Sweeps orphaned ``*.tmp`` files older than ``tmp_age_seconds``
-        (younger ones may belong to a live writer), optionally drops
-        quarantined entries, and — when ``max_bytes`` is set — evicts
-        least-recently-used entries (by mtime) until under the cap.
-        """
-        stats = {"tmp_removed": 0, "quarantined_removed": 0, "evicted": 0, "kept": 0, "bytes": 0}
-        now = time.time()
-        for path in self.root.glob("*.tmp"):
-            try:
-                if now - path.stat().st_mtime >= tmp_age_seconds:
-                    path.unlink()
-                    stats["tmp_removed"] += 1
-            except OSError:
-                pass
-        if drop_quarantined:
-            for path in self.root.glob("*.json.quarantined"):
-                try:
-                    path.unlink()
-                    stats["quarantined_removed"] += 1
-                except OSError:
-                    pass
-        entries = []
-        for path in self.root.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        total = sum(size for _mtime, size, _path in entries)
-        kept = len(entries)
-        if max_bytes is not None and total > max_bytes:
-            for _mtime, size, path in sorted(entries, key=lambda e: e[0]):
-                if total <= max_bytes:
-                    break
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                total -= size
-                kept -= 1
-                stats["evicted"] += 1
-        stats["kept"] = kept
-        stats["bytes"] = total
-        if stats["evicted"]:
-            telemetry.counter("cache.evicted", stats["evicted"])
-        return stats
+        super().store(self.key(task), outcome, fault_key=task.task_id)
 
 
 # ---------------------------------------------------------------------------
@@ -991,27 +824,18 @@ class EvalRunner:
         return report
 
     def _failure_outcome(self, task: EvalTask, exc: BaseException, attempts: int) -> Dict[str, Any]:
-        kind = "timeout" if isinstance(exc, TaskTimeoutError) else "crash"
-        return {
-            "task": task.task_id,
-            "kind": task.kind,
-            "benchmark": task.benchmark,
-            "mode": task.mode,
-            "method": task.method,
-            "seed": task.seed,
-            "ok": False,
-            "outcome": kind,
-            "error": f"task failed after {attempts} attempt(s): {type(exc).__name__}: {exc}",
-            "failure": {
+        return task_outcome(
+            task,
+            outcome="timeout" if isinstance(exc, TaskTimeoutError) else "crash",
+            error=f"task failed after {attempts} attempt(s): {type(exc).__name__}: {exc}",
+            failure={
                 "stage": failure_stage(exc),
                 "error_class": type(exc).__name__,
                 "attempts": attempts,
                 "elapsed": 0.0,
             },
-            "result": None,
-            "verdict": None,
-            "metrics": {"wall_seconds": 0.0, "max_rss_kb": 0, "pid": os.getpid()},
-        }
+            metrics={"wall_seconds": 0.0, "max_rss_kb": 0, "pid": os.getpid()},
+        )
 
     def _record(self, results, task: EvalTask, outcome: Dict[str, Any], attempts: int) -> None:
         """File one finished outcome (patches attempt counts, honors fail-fast).

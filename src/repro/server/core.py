@@ -28,6 +28,7 @@ can silently vanish, even across a daemon restart.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import threading
 import time
@@ -40,7 +41,7 @@ from ..config import ExecutionBudget
 from ..errors import TaskTimeoutError
 from ..evalharness.journal import RunJournal, new_run_id
 from ..evalharness.pool import PoolSupervisor
-from ..evalharness.runner import ResultCache
+from ..evalharness.runner import ResultCache, task_outcome
 from . import work
 from .admission import (
     BoundedPriorityQueue,
@@ -319,27 +320,17 @@ class ServerCore:
         ):
             verdict = self._peek_incremental(spec)
             if verdict is not None:
-                task = spec.task()
-                outcome = {
-                    "task": task.task_id,
-                    "kind": task.kind,
-                    "benchmark": task.benchmark,
-                    "mode": task.mode,
-                    "method": task.method,
-                    "seed": task.seed,
-                    "ok": True,
-                    "outcome": "ok",
-                    "error": None,
-                    "failure": None,
-                    "result": None,
-                    "verdict": verdict,
-                    "metrics": {
+                outcome = task_outcome(
+                    spec.task(),
+                    ok=True,
+                    verdict=verdict,
+                    metrics={
                         "wall_seconds": 0.0,
                         "max_rss_kb": 0,
                         "pid": os.getpid(),
                         "incremental": True,
                     },
-                }
+                )
                 record.cache_hit = True
                 self.counters["incremental_hits"] += 1
                 telemetry.counter("server.incremental_hits", 1)
@@ -416,6 +407,15 @@ class ServerCore:
         record.add_event("queued", depth=depth, served_method=effective)
         return record
 
+    @functools.cached_property
+    def artifacts(self):
+        """The warm per-function verdicts of watch/LSP sessions sharing the
+        cache directory; built on first use, so a daemon that is never
+        sent source never loads the incremental engine."""
+        from ..analysis.incremental import ArtifactStore
+
+        return ArtifactStore(self.config.cache_dir)
+
     def _peek_incremental(self, spec) -> Optional[Dict[str, Any]]:
         """A warm per-function verdict for this source, or ``None``.
 
@@ -423,12 +423,13 @@ class ServerCore:
         directory trouble) falls through to the normal queue path —
         the fast path may only ever make a request cheaper, never break
         it."""
-        from ..analysis.incremental import ArtifactStore, peek_conventional_verdict
+        # imported per call, not at module level: the name is looked up
+        # on the module each time, so a wrapper installed there is honoured
+        from ..analysis.incremental import peek_conventional_verdict
 
         try:
-            store = ArtifactStore(self.config.cache_dir)
             return peek_conventional_verdict(
-                store, spec.source, spec.entry, budget=self.budget
+                self.artifacts, spec.source, spec.entry, budget=self.budget
             )
         except Exception:
             return None

@@ -275,7 +275,7 @@ def test_artifact_version_mismatch_is_a_miss_not_an_error(tmp_path):
     key = artifact_key("lint-fn", {"fn": "f", "cone": "x"})
     store.store(key, [1, 2, 3])
     payload = json.loads(store.path(key).read_text())
-    payload["artifact_version"] = 999
+    payload["version"] = 999
     store.path(key).write_text(json.dumps(payload))
     assert store.load(key) is None
     assert not store.path(key).exists()  # stale format is swept, not kept

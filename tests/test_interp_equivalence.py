@@ -202,7 +202,7 @@ def test_hostile_program_under_a_single_cap(name, budget):
 def test_generated_bombs(name, budget):
     # at full size the front end rejects both before anything runs; at
     # sizes the untrusted front end accepts, they run to the end
-    corpus = _corpus().corpus_programs(token_terms=300, nest_depth=60)
+    corpus = _corpus().corpus_programs(token_terms=90, nest_depth=60)
     program = compile_program(corpus[name], budget=ExecutionBudget.untrusted())
     args = HOSTILE_ARGS.get(name, [7])
     results, error, _steps, _ticks = assert_same(program, "main", [args], **budget)

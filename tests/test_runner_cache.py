@@ -115,7 +115,7 @@ class TestCacheRobustness:
             hits = [o["metrics"]["cache_hit"] for o in report.outcomes]
             assert hits.count(False) == 1
         # the repaired entry round-trips again
-        assert json.loads(victim.read_text())["outcome"]["ok"]
+        assert json.loads(victim.read_text())["value"]["ok"]
 
     def test_truncated_json_entry_recovers(self, tmp_path):
         with EvalRunner(cache_dir=tmp_path) as runner:
@@ -147,7 +147,7 @@ class TestCacheRobustness:
         cache = ResultCache(tmp_path)
         victim = cache.path(cache.key(tasks[0]))
         entry = json.loads(victim.read_text())
-        entry["outcome"]["result"] = {"tampered": True}  # checksum now stale
+        entry["value"]["result"] = {"tampered": True}  # checksum now stale
         victim.write_text(json.dumps(entry))
         assert cache.load(tasks[0]) is None
         assert len(list(cache.root.glob("*.json.quarantined"))) == 1
