@@ -69,6 +69,25 @@ def _snap(value: float, tol: float = 1e-7) -> float:
     return value
 
 
+def signature_bound(fname: str, sig: FunSignature, solution: LPSolution) -> ResourceBound:
+    """The bound ``solution`` gives ``sig``, numerical dust removed.
+
+    Only the signature's own variables are read (and snapped), not every
+    LP variable: the bound is a function of those alone.
+    """
+    snapped = {
+        name: _snap(solution[name])
+        for param in sig.params
+        for coeff in param.coefficients()
+        for name in coeff.coeffs
+    }
+    return ResourceBound(
+        fname=fname,
+        params=tuple(instantiate(p, snapped) for p in sig.params),
+        p0=_snap(solution.value(sig.p0)),
+    )
+
+
 @dataclass
 class AARAResult:
     bound: ResourceBound
@@ -133,12 +152,7 @@ def solve_analysis(
         analysis.lp, objectives, context=f"AARA {analysis.fname} degree {analysis.degree}"
     )
     sig = analysis.signature
-    assignment = {k: _snap(v) for k, v in solution.assignment.items()}
-    bound = ResourceBound(
-        fname=analysis.fname,
-        params=tuple(instantiate(p, assignment) for p in sig.params),
-        p0=_snap(solution.value(sig.p0)),
-    )
+    bound = signature_bound(analysis.fname, sig, solution)
     elapsed = time.perf_counter() - start
     return AARAResult(bound, solution, sig, analysis.lp, analysis.generator.stats, elapsed)
 

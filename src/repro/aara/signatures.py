@@ -52,20 +52,42 @@ def call_graph(program: A.Program) -> "nx.DiGraph":
     return graph
 
 
-def scc_of(program: A.Program) -> Dict[str, frozenset]:
-    """Map each function to its strongly-connected component.
+@dataclass(frozen=True)
+class CallStructure:
+    """The call-graph facts AARA instantiation reads, for one program."""
+
+    #: each function's strongly-connected component
+    sccs: Dict[str, frozenset]
+    #: functions that are (mutually) recursive
+    recursive: frozenset
+
+
+def call_structure(program: A.Program) -> CallStructure:
+    """SCCs and self-recursion of ``program``, computed once per program.
 
     A function is in a non-trivial SCC with itself only if it is actually
     (mutually) recursive; non-recursive functions map to singleton frozen
-    sets that are treated as *external* at their call sites.
+    sets that are treated as *external* at their call sites.  Programs are
+    built, never edited, so the result is kept on the program (outside its
+    dataclass fields, which equality and ``repr`` read) for every later LP
+    build over it.
     """
-    graph = call_graph(program)
-    mapping: Dict[str, frozenset] = {}
-    for component in nx.strongly_connected_components(graph):
-        members = frozenset(component)
-        for fname in component:
-            mapping[fname] = members
-    return mapping
+    structure = vars(program).get("_call_structure")
+    if structure is None:
+        sccs: Dict[str, frozenset] = {}
+        for component in nx.strongly_connected_components(call_graph(program)):
+            members = frozenset(component)
+            for fname in component:
+                sccs[fname] = members
+        recursive = frozenset(name for name in sccs if is_self_recursive(program, name, sccs))
+        structure = CallStructure(sccs, recursive)
+        vars(program)["_call_structure"] = structure
+    return structure
+
+
+def scc_of(program: A.Program) -> Dict[str, frozenset]:
+    """Map each function to its strongly-connected component."""
+    return dict(call_structure(program).sccs)
 
 
 def is_self_recursive(program: A.Program, fname: str, sccs: Dict[str, frozenset]) -> bool:

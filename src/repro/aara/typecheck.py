@@ -31,7 +31,7 @@ from .annot import (
     waive,
     zero_annotation,
 )
-from .signatures import FunSignature, is_self_recursive, scc_of
+from .signatures import FunSignature, call_structure
 from ..errors import StaticAnalysisError, UnanalyzableError
 from ..lang import ast as A
 from ..lang.builtins import BUILTINS, is_builtin
@@ -76,6 +76,18 @@ class GenStats:
     instantiations: Dict[str, int] = field(default_factory=dict)
 
 
+@dataclass
+class _Derived:
+    """One derivation of a ``(callee, costful)`` pair, kept for copying:
+    the LP stretch it added, its signature, and the counts it added."""
+
+    start: Tuple[int, int, int]
+    stop: Tuple[int, int, int]
+    signature: FunSignature
+    derivations: int
+    instantiations: Dict[str, int]
+
+
 class ConstraintGenerator:
     """Generates the AARA linear program for one analyzed program."""
 
@@ -98,22 +110,85 @@ class ConstraintGenerator:
         self.lp = lp if lp is not None else LPProblem("aara")
         self.stat_handler = stat_handler
         self.stat_mode = stat_mode
-        self.sccs = scc_of(program)
+        structure = call_structure(program)
+        self.sccs = structure.sccs
+        self.recursive = structure.recursive
         self.cf_levels = degree if cf_levels is None else cf_levels
         self.max_derivations = max_derivations
         self.stats = GenStats()
+        #: (callee, costful) -> its first derivation in this LP
+        self._derived: Dict[Tuple[str, bool], _Derived] = {}
 
     # ------------------------------------------------------------------
     # SCC instantiation
     # ------------------------------------------------------------------
 
     def instantiate(self, fname: str, costful: bool = True) -> FunSignature:
-        """Fresh derivation of ``fname``'s SCC; returns its level-0 signature."""
+        """Fresh derivation of ``fname``'s SCC; returns its level-0 signature.
+
+        A derivation depends on ``(fname, costful)`` alone, so after the
+        first one each later call site gets a renamed copy of the first
+        one's variables and constraints (RaML's per-site instantiation,
+        without re-walking the bodies).  The copy is exactly what a second
+        derivation would add: same fresh numbering, order, notes and
+        :class:`GenStats`.  A derivation that ran a stat handler (whose
+        side effects a copy would miss) is always derived again, and so
+        is one whose copy would cross a budget, so the budget trips
+        where and as it did before.
+        """
         if fname not in self.program:
             raise StaticAnalysisError(f"unknown function {fname!r}")
-        scc = self.sccs[fname]
-        recursive = is_self_recursive(self.program, fname, self.sccs)
-        members = scc if recursive else frozenset([fname])
+        key = (fname, costful)
+        known = self._derived.get(key)
+        sig = self._copy(known) if known is not None else None
+        if sig is None:
+            start = self.lp.mark()
+            derivations, stat_sites = self.stats.derivations, self.stats.stat_sites
+            before = dict(self.stats.instantiations)
+            sig = self._derive(fname, costful)
+            if known is None and self.stats.stat_sites == stat_sites:
+                self._derived[key] = _Derived(
+                    start,
+                    self.lp.mark(),
+                    sig,
+                    self.stats.derivations - derivations,
+                    {
+                        name: count - before.get(name, 0)
+                        for name, count in self.stats.instantiations.items()
+                        if count != before.get(name, 0)
+                    },
+                )
+        self.stats.instantiations[fname] = self.stats.instantiations.get(fname, 0) + 1
+        return sig
+
+    def _copy(self, known: _Derived) -> Optional[FunSignature]:
+        """A renamed copy of ``known``'s derivation, or ``None`` (nothing
+        added) when it cannot stand in for a fresh one."""
+        if self.stats.derivations + known.derivations > self.max_derivations:
+            return None
+        renamed = self.lp.copy_span(known.start, known.stop)
+        if renamed is None:
+            return None
+        self.stats.derivations += known.derivations
+        for name, count in known.instantiations.items():
+            self.stats.instantiations[name] += count
+        sig = known.signature
+
+        def rename(coeff: LinExpr) -> LinExpr:
+            return coeff.renamed(renamed)
+
+        return FunSignature(
+            sig.fname,
+            tuple(param.map_coeffs(rename) for param in sig.params),
+            rename(sig.p0),
+            sig.result.map_coeffs(rename),
+            rename(sig.q0),
+            sig.level,
+        )
+
+    def _derive(self, fname: str, costful: bool) -> FunSignature:
+        recursive = fname in self.recursive
+        members = self.sccs[fname] if recursive else frozenset([fname])
         n_levels = self.cf_levels if recursive else 0
         sigs: Dict[Tuple[str, int], FunSignature] = {}
         for level in range(n_levels + 1):
@@ -124,7 +199,6 @@ class ConstraintGenerator:
             env = DerivationEnv(scc=members if recursive else frozenset(), sigs=sigs, level=level, costful=level_costful)
             for member in sorted(members):
                 self._derive_body(member, sigs[(member, level)], env)
-        self.stats.instantiations[fname] = self.stats.instantiations.get(fname, 0) + 1
         return sigs[(fname, 0)]
 
     def _fresh_signature(self, fname: str, level: int) -> FunSignature:

@@ -545,11 +545,12 @@ class ResultCache(Store):
         blob = json.dumps(payload, sort_keys=True, default=str).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def load(self, task: EvalTask) -> Optional[Dict[str, Any]]:
-        return super().load(self.key(task))
+    def load(self, task: EvalTask, key: Optional[str] = None) -> Optional[Dict[str, Any]]:
+        """``task``'s stored outcome; ``key`` saves deriving it again."""
+        return super().load(self.key(task) if key is None else key)
 
-    def store(self, task: EvalTask, outcome: Dict[str, Any]) -> None:
-        super().store(self.key(task), outcome, fault_key=task.task_id)
+    def store(self, task: EvalTask, outcome: Dict[str, Any], key: Optional[str] = None) -> None:
+        super().store(self.key(task) if key is None else key, outcome, fault_key=task.task_id)
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +761,8 @@ class EvalRunner:
         started = time.perf_counter()
         outcomes: Dict[EvalTask, Dict[str, Any]] = {}
         pending: List[EvalTask] = []
+        #: each task's cache key, derived once for its load and its store
+        keys: Dict[EvalTask, str] = {}
         env_checkpoint = os.environ.get(checkpoint.ENV_CHECKPOINT)
         if self.checkpoint_dir:
             # propagate to forked pool workers (and the in-process serial
@@ -777,7 +780,10 @@ class EvalRunner:
                         outcomes[task] = outcome
                         telemetry.counter("resume.cells_skipped", 1, task=task.task_id)
                         continue
-                    cached = self.cache.load(task) if self.cache else None
+                    cached = None
+                    if self.cache:
+                        keys[task] = self.cache.key(task)
+                        cached = self.cache.load(task, keys[task])
                     if cached is not None:
                         cached.setdefault("metrics", {})
                         cached["metrics"]["cache_hit"] = True
@@ -798,8 +804,8 @@ class EvalRunner:
                     for task, outcome in fresh.items():
                         outcome["metrics"]["cache_hit"] = False
                         if self.cache and outcome["ok"]:
-                            outcome["metrics"]["cache_key"] = self.cache.key(task)
-                            self.cache.store(task, outcome)
+                            outcome["metrics"]["cache_key"] = keys[task]
+                            self.cache.store(task, outcome, keys[task])
                         outcomes[task] = outcome
         finally:
             if self.checkpoint_dir:

@@ -34,8 +34,8 @@ from .dataset import RuntimeDataset, StatDataset
 from .hyperparams import resolve_bayespc_hyperparams
 from .posterior import PosteriorResult
 from .. import telemetry
-from ..aara.analyze import Analysis, _snap, build_analysis, solve_analysis
-from ..aara.annot import AnnType, instantiate, make_template, potential_of_env, potential_of_value
+from ..aara.analyze import Analysis, build_analysis, signature_bound, solve_analysis
+from ..aara.annot import AnnType, make_template, potential_of_env, potential_of_value
 from ..aara.bound import ResourceBound
 from ..aara.typecheck import StatSite
 from ..config import AnalysisConfig
@@ -255,14 +255,7 @@ def run_bayeswc(
                 failures += 1
                 continue
             lp_fallbacks += solution.fallbacks
-            assignment = {k: _snap(v) for k, v in solution.assignment.items()}
-            bounds.append(
-                ResourceBound(
-                    fname,
-                    tuple(instantiate(p, assignment) for p in sig.params),
-                    _snap(solution.value(sig.p0)),
-                )
-            )
+            bounds.append(signature_bound(fname, sig, solution))
         tspan.set(failures=failures, lp_fallbacks=lp_fallbacks)
     elapsed = time.perf_counter() - start
     diagnostics: Dict[str, float] = {}
@@ -396,14 +389,7 @@ def run_bayespc(
                 failures += 1
                 continue
             lp_fallbacks += solution.fallbacks
-            assignment = {k: _snap(v) for k, v in solution.assignment.items()}
-            bounds.append(
-                ResourceBound(
-                    fname,
-                    tuple(instantiate(p, assignment) for p in sig.params),
-                    _snap(solution.value(sig.p0)),
-                )
-            )
+            bounds.append(signature_bound(fname, sig, solution))
         tspan.set(failures=failures, lp_fallbacks=lp_fallbacks)
     elapsed = time.perf_counter() - start
     return PosteriorResult(

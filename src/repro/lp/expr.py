@@ -91,6 +91,14 @@ class LinExpr:
     def variables(self) -> Tuple[str, ...]:
         return tuple(self.coeffs.keys())
 
+    def renamed(self, names: Mapping[str, str]) -> "LinExpr":
+        """The same expression over ``names[v]`` for each variable ``v``
+        (terms kept in order; ``names`` must cover every variable)."""
+        out = LinExpr.__new__(LinExpr)
+        out.coeffs = {names[name]: coef for name, coef in self.coeffs.items()}
+        out.const = self.const
+        return out
+
     def evaluate(self, assignment: Mapping[str, float]) -> float:
         return self.const + sum(coef * assignment.get(name, 0.0) for name, coef in self.coeffs.items())
 

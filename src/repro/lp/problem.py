@@ -7,7 +7,6 @@ All variables are non-negative by default (resource coefficients live in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,7 +50,10 @@ class LPProblem:
         self.name = name
         self.constraints: List[Constraint] = []
         self._vars: Dict[str, int] = {}
-        self._counter = itertools.count()
+        #: declared names in column order (``_vars`` inverted)
+        self._names: List[str] = []
+        #: number of the next fresh variable
+        self._next_id = 0
         #: size budget for untrusted programs (None = uncapped): constraint
         #: generation on adversarial recursion shapes can go quadratic or
         #: worse, so the guard trips *while building*, before any solve
@@ -65,7 +67,8 @@ class LPProblem:
     # -- variables ------------------------------------------------------------
 
     def fresh(self, hint: str = "q") -> LinExpr:
-        name = f"{hint}.{next(self._counter)}"
+        name = f"{hint}.{self._next_id}"
+        self._next_id += 1
         self.declare(name)
         return LinExpr.var(name)
 
@@ -78,6 +81,7 @@ class LPProblem:
                     limit=self.max_variables,
                 )
             self._vars[name] = len(self._vars)
+            self._names.append(name)
             self._matrix_cache = None
 
     def declare_expr(self, expr: LinExpr) -> None:
@@ -132,10 +136,62 @@ class LPProblem:
     def copy(self) -> "LPProblem":
         clone = LPProblem(self.name, self.max_variables, self.max_constraints)
         clone._vars = dict(self._vars)
-        clone._counter = itertools.count(next(self._counter))
+        clone._names = list(self._names)
+        clone._next_id = self._next_id
+        self._next_id += 1
         clone.constraints = list(self.constraints)
         clone._matrix_cache = None
         return clone
+
+    # -- repeated stretches ---------------------------------------------------------
+
+    def mark(self) -> Tuple[int, int, int]:
+        """Where the next fresh variable, declared name and constraint go."""
+        return self._next_id, len(self._names), len(self.constraints)
+
+    def copy_span(
+        self, start: Tuple[int, int, int], stop: Tuple[int, int, int]
+    ) -> Optional[Dict[str, str]]:
+        """Add again what was added between two marks, under fresh names.
+
+        The stretch must be a run of fresh variables, each declared as it
+        was made, and constraints over those variables only.  The copy
+        gets the next fresh numbers in the same order, with the same
+        hints, coefficients, constant terms and notes, so the problem ends
+        exactly as if the stretch had been generated again.  Returns the
+        old → new names, or ``None``, adding nothing, when the stretch is
+        not such a run, when a new name is taken, or when the copy would
+        cross the variable or constraint budget (generating it again then
+        raises at the same point as before).
+        """
+        first, var_start, con_start = start
+        stop_id, var_stop, con_stop = stop
+        names = self._names[var_start:var_stop]
+        n_cons = con_stop - con_start
+        if len(names) != stop_id - first:
+            return None
+        if self.max_variables is not None and len(self._vars) + len(names) > self.max_variables:
+            return None
+        if self.max_constraints is not None and len(self.constraints) + n_cons > self.max_constraints:
+            return None
+        renamed: Dict[str, str] = {}
+        base = self._next_id
+        for offset, name in enumerate(names):
+            hint, _, number = name.rpartition(".")
+            new = f"{hint}.{base + offset}"
+            if number != str(first + offset) or new in self._vars:
+                return None
+            renamed[name] = new
+        for new in renamed.values():
+            self._vars[new] = len(self._vars)
+        self._names.extend(renamed.values())
+        self._next_id = base + len(names)
+        self.constraints.extend(
+            Constraint(con.lhs.renamed(renamed), con.sense, con.rhs.renamed(renamed), con.note)
+            for con in self.constraints[con_start:con_stop]
+        )
+        self._matrix_cache = None
+        return renamed
 
     # -- matrix export ------------------------------------------------------------
 

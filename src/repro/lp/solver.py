@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import OptimizeResult
 from scipy.sparse import csr_matrix, vstack
 
 from .expr import LinExpr
+from .highs import linprog
 from .problem import LPProblem
 from .. import faultinject, telemetry
 from ..errors import InfeasibleError, LPError
@@ -171,7 +172,8 @@ def solve_lexicographic(
         assert result is not None
         tspan.set(iterations=iterations, fallbacks=fallbacks)
         _lp_counters(n, iterations, fallbacks)
-        assignment = {name: float(result.x[col]) for name, col in index.items()}
+        # index maps the names to columns 0..n-1 in order
+        assignment = dict(zip(index, result.x.tolist()))
         return LPSolution(assignment, objective_values, fallbacks=fallbacks)
 
 

@@ -294,7 +294,20 @@ class ServerCore:
         if spec.source is not None:
             self.counters["source_requests"] += 1
         record = self._new_record(spec)
+        try:
+            return self._admit(spec, record)
+        except BaseException:
+            # a step that raised before the request was answered or queued
+            # (cache load, fast-path peek, journal write-ahead, queue) must
+            # not leave the record live in /healthz forever; a record that
+            # was already answered or shed stays as it is
+            record.finish(
+                "error", error="internal error during admission", reason="internal-error"
+            )
+            raise
 
+    def _admit(self, spec: AnalyzeSpec, record: RequestRecord) -> RequestRecord:
+        """Answer ``record`` from a store, shed it, or queue it."""
         # 1. cache: a hit is served unconditionally — no token, no queue
         #    slot, byte-identical to the batch harness's outcome
         if self.cache is not None:
@@ -360,48 +373,54 @@ class ServerCore:
                 code="quota-exceeded",
             )
 
-        # 4. degradation ladder (breaker state at admission time)
-        effective, reason = self.breaker.degrade(spec.method)
-        if reason is not None:
-            record.mark_degraded(effective, reason)
-            self.counters["degraded"] += 1
-            telemetry.counter("server.degraded", 1, level=self.breaker.level())
-            if self.cache is not None:
-                # a hit for the *fallback* method still beats recomputing
-                cached = self.cache.load(spec.task(effective))
-                if cached is not None:
-                    self.quotas.release(spec.tenant)
-                    record.cache_hit = True
-                    self.counters["cache_hits"] += 1
-                    self._journal_admit(record, cached=True)
-                    self._finish_from_outcome(record, cached, cache_hit=True)
-                    return record
-
-        # 5. bounded queue: full ⇒ shed with an honest Retry-After
-        budget = min(spec.deadline_seconds, self.config.default_deadline * 10)
-        item = WorkItem(
-            request_id=record.id,
-            task=spec.task(effective),
-            deadline=time.monotonic() + budget,
-            priority=spec.priority,
-            tenant=spec.tenant,
-            budget_seconds=budget,
-        )
-        # write-ahead: the admit record must be durable before the item can
-        # possibly reach a worker — a crash after this line leaves a
-        # journalled request, never an untracked one
-        self._journal_admit(record, cached=False)
+        queued = False
         try:
-            depth = self.queue.put(item, priority=spec.priority)
-        except QueueFull as exc:
-            self.quotas.release(spec.tenant)
-            self.counters["shed"] += 1
-            telemetry.counter("server.shed", 1)
-            self._journal_finish(record.id, "shed", error="queue full")
-            record.finish("error", error="queue full", reason="shed")
-            raise AdmissionError(
-                429, "queue full", retry_after=exc.retry_after, code="queue-full"
+            # 4. degradation ladder (breaker state at admission time)
+            effective, reason = self.breaker.degrade(spec.method)
+            if reason is not None:
+                record.mark_degraded(effective, reason)
+                self.counters["degraded"] += 1
+                telemetry.counter("server.degraded", 1, level=self.breaker.level())
+                if self.cache is not None:
+                    # a hit for the *fallback* method still beats recomputing
+                    cached = self.cache.load(spec.task(effective))
+                    if cached is not None:
+                        record.cache_hit = True
+                        self.counters["cache_hits"] += 1
+                        self._journal_admit(record, cached=True)
+                        self._finish_from_outcome(record, cached, cache_hit=True)
+                        return record
+
+            # 5. bounded queue: full ⇒ shed with an honest Retry-After
+            budget = min(spec.deadline_seconds, self.config.default_deadline * 10)
+            item = WorkItem(
+                request_id=record.id,
+                task=spec.task(effective),
+                deadline=time.monotonic() + budget,
+                priority=spec.priority,
+                tenant=spec.tenant,
+                budget_seconds=budget,
             )
+            # write-ahead: the admit record must be durable before the item
+            # can possibly reach a worker — a crash after this line leaves
+            # a journalled request, never an untracked one
+            self._journal_admit(record, cached=False)
+            try:
+                depth = self.queue.put(item, priority=spec.priority)
+            except QueueFull as exc:
+                self.counters["shed"] += 1
+                telemetry.counter("server.shed", 1)
+                self._journal_finish(record.id, "shed", error="queue full")
+                record.finish("error", error="queue full", reason="shed")
+                raise AdmissionError(
+                    429, "queue full", retry_after=exc.retry_after, code="queue-full"
+                )
+            queued = True
+        finally:
+            # a queued item's slot is released when it ends (_on_done,
+            # _on_fail, _cancel); every other way out releases it here
+            if not queued:
+                self.quotas.release(spec.tenant)
         self.counters["admitted"] += 1
         telemetry.counter("server.admitted", 1)
         record.add_event("queued", depth=depth, served_method=effective)

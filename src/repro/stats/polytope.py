@@ -16,11 +16,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .. import telemetry
 from ..errors import InferenceError
 from ..lp import LPProblem
+from ..lp.highs import linprog
 
 
 @dataclass

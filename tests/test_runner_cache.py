@@ -58,6 +58,29 @@ class TestCacheHitsAndMisses:
         for a, b in zip(first.outcomes, second.outcomes):
             assert a["result"] == b["result"] and a["verdict"] == b["verdict"]
 
+    def test_one_key_derivation_per_cached_cell(self, tmp_path, monkeypatch):
+        """A miss derives its key once for the load, the ``cache_key``
+        metric and the store; a hit derives it once for the load."""
+        derived = []
+        real_key = ResultCache.key
+
+        def counting_key(self, task):
+            derived.append(task.task_id)
+            return real_key(self, task)
+
+        monkeypatch.setattr(ResultCache, "key", counting_key)
+        tasks = _tasks()
+        with EvalRunner(cache_dir=tmp_path, task_fn=_CountingTaskFn()) as runner:
+            cold = runner.run_tasks(tasks)
+            assert all(o["ok"] and not o["metrics"]["cache_hit"] for o in cold.outcomes)
+            assert sorted(derived) == sorted(task.task_id for task in tasks)
+            for task, outcome in zip(tasks, cold.outcomes):
+                assert outcome["metrics"]["cache_key"] == real_key(runner.cache, task)
+            derived.clear()
+            warm = runner.run_tasks(tasks)
+            assert all(o["metrics"]["cache_hit"] for o in warm.outcomes)
+            assert sorted(derived) == sorted(task.task_id for task in tasks)
+
     def test_miss_on_changed_program_source(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         task = _analysis_task()

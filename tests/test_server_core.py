@@ -265,3 +265,41 @@ def test_drain_cancels_queued_requests_as_resumable(tmp_path):
     cancelled = [e for e in events if e["ev"] == "request-cancelled"]
     assert {e["id"] for e in cancelled} == {inflight.id, queued.id}
     assert all(e["resumable"] for e in cancelled)
+
+
+def test_failed_admission_step_leaves_no_live_record(tmp_path, monkeypatch):
+    """A cache load or a journal write-ahead that raises ends the record as
+    an ``internal-error`` and gives back the tenant's quota slot; the
+    exception still reaches the caller."""
+    with running_core(tmp_path, fast_task, quota_concurrency=1) as core:
+
+        def broken_load(_task):
+            raise OSError("cache directory vanished")
+
+        monkeypatch.setattr(core.cache, "load", broken_load)
+        with pytest.raises(OSError):
+            core.submit(dict(BODY, seed=1), client="t")
+        monkeypatch.undo()
+        assert core.healthz()["live_requests"] == 0
+
+        real_record = core.journal.record
+
+        def broken_admit(event):
+            if event.get("ev") == "request-admitted":
+                raise OSError("journal disk full")
+            real_record(event)
+
+        monkeypatch.setattr(core.journal, "record", broken_admit)
+        with pytest.raises(OSError):
+            core.submit(dict(BODY, seed=2), client="t")
+        monkeypatch.undo()
+        health = core.healthz()
+        assert health["live_requests"] == 0
+        finished = [r for r in core._records.values() if r.spec.seed in (1, 2)]
+        assert [(r.state, r.events[-1].get("reason")) for r in finished] == [
+            ("error", "internal-error"),
+            ("error", "internal-error"),
+        ]
+        # the slot the journal failure held is free: a new request runs
+        record = wait_terminal(core.submit(dict(BODY, seed=3), client="t"))
+        assert record.state == "done"
