@@ -23,6 +23,11 @@ Slicing relies on the exact ``pos``/``name_pos`` spans the parser records
 sliced unambiguously (duplicate top-level names, missing positions) get
 ``fingerprint_functions() -> None`` and the incremental engine falls back
 to whole-program granularity.
+
+Fingerprints do not depend on where a slice starts: blank lines inserted
+above a function leave them unchanged.  Each slice's first line is
+recorded beside them (:attr:`Fingerprints.lines`) for the artifacts that
+quote positions.
 """
 
 from __future__ import annotations
@@ -48,13 +53,15 @@ def _digest(*parts: object) -> str:
 def normalize_slice(text: str) -> str:
     """Normalize one function's source slice for fingerprinting.
 
-    Line endings become LF, trailing whitespace per line is dropped, and
-    blank edge lines are trimmed — the same canonicalization
+    CRLF line endings become LF, trailing whitespace per line is dropped,
+    and blank edge lines are trimmed — the canonicalization
     :func:`repro.evalharness.adhoc.normalize_source` applies to whole
     programs, so a reformat that cannot change parse output cannot
-    change the fingerprint either.
+    change the fingerprint either.  Unlike there, a lone CR stays: the
+    lexer does not count it as a line break, so turning it into one would
+    give two texts whose positions differ the same fingerprint.
     """
-    lines = [ln.rstrip() for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    lines = [ln.rstrip() for ln in text.replace("\r\n", "\n").split("\n")]
     while lines and not lines[0]:
         lines.pop(0)
     while lines and not lines[-1]:
@@ -73,7 +80,6 @@ def program_fingerprint(source: str) -> str:
 class Fingerprints:
     """Per-function fingerprints plus the call-graph facts keyed off them."""
 
-    program_fp: str
     interface_fp: str
     #: function name -> fingerprint of its own normalized slice
     local: Dict[str, str] = field(default_factory=dict)
@@ -87,6 +93,8 @@ class Fingerprints:
     sccs: List[List[str]] = field(default_factory=list)
     #: source-order function names
     order: Tuple[str, ...] = ()
+    #: function name -> first line of its slice (the line of its ``let``)
+    lines: Dict[str, int] = field(default_factory=dict)
 
 
 def fingerprint_functions(source: str, parsed: ParseResult) -> Optional[Fingerprints]:
@@ -94,7 +102,7 @@ def fingerprint_functions(source: str, parsed: ParseResult) -> Optional[Fingerpr
 
     Returns ``None`` when per-function slicing is ambiguous (duplicate
     top-level names or missing position spans) — callers fall back to
-    whole-program artifacts keyed by :func:`program_fingerprint`.
+    whole-program granularity.
     """
     functions = list(parsed.functions)
     spans = function_line_spans(functions, source)
@@ -114,12 +122,12 @@ def fingerprint_functions(source: str, parsed: ParseResult) -> Optional[Fingerpr
     )
     graph = call_graph(functions)
     fps = Fingerprints(
-        program_fp=program_fingerprint(source),
         interface_fp=interface_fp,
         local=local,
         graph=graph,
         sccs=tarjan_scc(graph),
         order=order,
+        lines={name: spans[name][0] for name in order},
     )
     for name in order:
         members = reachable(graph, [name]) | {name}

@@ -18,13 +18,19 @@ Artifact soundness per stage:
   fingerprint (the resolve pass checks arities and name order without
   reading bodies), the resolved entry root and the function's
   reachability from it (the only cross-function facts the deadcode and
-  statlint passes consult).  Program-level diagnostics (``R016``) get
-  their own bucket keyed by interface + entry.
+  statlint passes consult), and the function's first line: its
+  diagnostics lie inside its own slice, so that line and the slice's
+  content fix their positions.  Program-level diagnostics (``R016``,
+  which has no position) get their own bucket keyed by interface + entry.
 * **bound artifacts** — keyed by the cone fingerprint, the degree cap and
   the LP-size budget caps;
   :func:`repro.aara.analyze.run_conventional_function` restricts the
   program to the cone before normalize/typecheck/LP so the verdict is a
-  pure function of exactly those inputs.
+  pure function of exactly those inputs.  Only verdicts reached before
+  any LP solve (:data:`_POSITIONED`) quote source positions, such as
+  R042's ``(at l:c)``; their artifacts also record the first line of
+  every cone member, and a load after the cone has moved recomputes them
+  (no LP) instead of replaying stale positions.
 
 Programs that cannot be sliced per function (duplicate top-level names,
 missing spans) or that fail to parse fall back to whole-program
@@ -50,7 +56,7 @@ from .engine import PASSES
 from .fingerprint import FINGERPRINT_VERSION, Fingerprints, fingerprint_functions
 
 #: bump to invalidate every persisted incremental artifact
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 #: key-family marker baked into every artifact key and payload, keeping
 #: the family disjoint from EvalTask result keys sharing the directory
@@ -188,6 +194,24 @@ class IncrementalResult:
 #: sentinel bucket name for program-level diagnostics (R016 &c.)
 _PROGRAM_BUCKET = "<program>"
 
+#: verdict statuses decided before any LP solve: the R042/R043 guard and
+#: front-end errors.  Their details may quote source positions, so their
+#: artifacts hold only while the cone stays where it was computed
+_POSITIONED = ("unboundable", "front-end-error")
+
+
+def _cone_lines(fps: Fingerprints, name: str) -> List[int]:
+    return [fps.lines[member] for member in fps.cone_members[name]]
+
+
+def _in_place(value: Dict[str, Any], fps: Fingerprints, name: str) -> bool:
+    """Does a loaded bound artifact still hold where ``name``'s cone sits?
+
+    Strips the recorded ``lines`` from ``value``: they key the artifact's
+    validity, not the verdict."""
+    lines = value.pop("lines", None)
+    return lines is None or lines == _cone_lines(fps, name)
+
 
 class IncrementalEngine:
     """Per-function incremental lint + conventional-AARA bounds.
@@ -224,6 +248,7 @@ class IncrementalEngine:
             "lint-fn",
             {
                 "fn": name,
+                "line": fps.lines[name],
                 "cone": fps.cone[name],
                 "interface": fps.interface_fp,
                 "root": root,
@@ -257,6 +282,39 @@ class IncrementalEngine:
         entry: Optional[str] = None,
         want_bounds: bool = True,
     ) -> IncrementalResult:
+        result, parsed = self._front_end(source, path, entry, write=True)
+        if result.granularity == "program" and want_bounds:
+            names = tuple(dict.fromkeys(f.name for f in parsed.functions))
+            result.bound_stage = StageStats(recomputed=names)
+            for name in names:
+                result.bounds[name] = self._compute_bound(
+                    parsed, name, self._cone_errors(result.diagnostics, None, name)
+                )
+        elif result.granularity == "function":
+            if want_bounds:
+                self._bound_stage(parsed, result.fingerprints, result)
+            telemetry.counter("incr.reused", result.reused)
+            telemetry.counter("incr.recomputed", result.recomputed)
+        return result
+
+    def lint(
+        self, source: str, path: str = "<input>", entry: Optional[str] = None
+    ) -> IncrementalResult:
+        """The read-only front end: one budgeted parse, one fingerprint
+        pass, and the diagnostics from the stored lint buckets when all
+        are present, else from the lint passes over that same parse.
+
+        Writes nothing, so callers that must not fill the store (the
+        daemon's admission gate: rejected sources are not rate-limited)
+        can use it; ``result.fingerprints`` serve
+        :func:`peek_conventional_verdict` without a second parse.
+        """
+        return self._front_end(source, path, entry, write=False)[0]
+
+    def _front_end(
+        self, source: str, path: str, entry, write: bool
+    ) -> Tuple[IncrementalResult, Optional[ParseResult]]:
+        """Parse, fingerprint and lint; the parse is ``None`` when it failed."""
         with telemetry.span("incr.parse", path=path):
             try:
                 parsed = parse_program_ex(
@@ -271,7 +329,7 @@ class IncrementalEngine:
                     entry=entry,
                     diagnostics=[from_source_error(exc, path)],
                     granularity="parse-error",
-                )
+                ), None
         positions = {
             f.name: (f.name_pos.line, f.name_pos.col)
             for f in parsed.functions
@@ -279,9 +337,14 @@ class IncrementalEngine:
         }
         fps = fingerprint_functions(source, parsed)
         if fps is None:
-            result = self._analyze_whole(parsed, path, entry, want_bounds)
-            result.positions = positions
-            return result
+            # unsliceable program: whole-program lint, no artifacts
+            result = IncrementalResult(
+                path=path, entry=entry, granularity="program", positions=positions
+            )
+            result.diagnostics = self._run_passes(parsed, entry, path)
+            names = tuple(dict.fromkeys(f.name for f in parsed.functions))
+            result.lint = StageStats(recomputed=names + (_PROGRAM_BUCKET,))
+            return result, parsed
         root = entry_function(parsed.functions, entry)
         live = reachable(fps.graph, [root]) if root is not None else set()
         result = IncrementalResult(
@@ -291,12 +354,8 @@ class IncrementalEngine:
             fingerprints=fps,
             positions=positions,
         )
-        self._lint_stage(parsed, fps, path, entry, root, live, result)
-        if want_bounds:
-            self._bound_stage(parsed, fps, result)
-        telemetry.counter("incr.reused", result.reused)
-        telemetry.counter("incr.recomputed", result.recomputed)
-        return result
+        self._lint_stage(parsed, fps, path, entry, root, live, result, write)
+        return result, parsed
 
     def _run_passes(self, parsed: ParseResult, entry, path) -> List[Diagnostic]:
         diags: List[Diagnostic] = []
@@ -306,26 +365,11 @@ class IncrementalEngine:
         diags.sort(key=_diag_order)
         return diags
 
-    def _analyze_whole(
-        self, parsed: ParseResult, path: str, entry, want_bounds: bool
-    ) -> IncrementalResult:
-        """Unsliceable program: whole-program recompute, no artifacts."""
-        result = IncrementalResult(path=path, entry=entry, granularity="program")
-        result.diagnostics = self._run_passes(parsed, entry, path)
-        names = tuple(dict.fromkeys(f.name for f in parsed.functions))
-        result.lint = StageStats(recomputed=names + (_PROGRAM_BUCKET,))
-        if want_bounds:
-            result.bound_stage = StageStats(recomputed=names)
-            for name in names:
-                result.bounds[name] = self._compute_bound(
-                    parsed, name, self._cone_errors(result.diagnostics, None, name)
-                )
-        return result
-
     # -- lint stage ---------------------------------------------------------
 
     def _lint_stage(
-        self, parsed: ParseResult, fps: Fingerprints, path, entry, root, live, result
+        self, parsed: ParseResult, fps: Fingerprints, path, entry, root, live, result,
+        write: bool,
     ) -> None:
         with telemetry.span("incr.lint", path=path):
             keys = {
@@ -353,7 +397,8 @@ class IncrementalEngine:
                 )
                 return
             # at least one bucket missed: run the (cheap, whole-program)
-            # passes once and refresh exactly the missing buckets
+            # passes once and (when writing) refresh exactly the missing
+            # buckets
             diags = self._run_passes(parsed, entry, path)
             result.diagnostics = diags
             buckets: Dict[str, List[Dict[str, Any]]] = {name: [] for name in fps.order}
@@ -370,7 +415,7 @@ class IncrementalEngine:
             else:
                 reused = reused + (_PROGRAM_BUCKET,)
             result.lint = StageStats(reused=reused, recomputed=recomputed)
-            if self.store is not None:
+            if write and self.store is not None:
                 for name in fps.order:
                     if name not in cached:
                         self.store.store(keys[name], buckets[name])
@@ -443,7 +488,7 @@ class IncrementalEngine:
             for name in fps.order:
                 key = self._bound_key(fps, name)
                 value = self.store.load(key) if self.store is not None else None
-                if value is not None:
+                if value is not None and _in_place(value, fps, name):
                     result.bounds[name] = value
                     reused.append(name)
                     continue
@@ -454,6 +499,8 @@ class IncrementalEngine:
                 result.bounds[name] = value
                 recomputed.append(name)
                 if self.store is not None:
+                    if value["status"] in _POSITIONED:
+                        value = dict(value, lines=_cone_lines(fps, name))
                     self.store.store(key, value)
             result.bound_stage = StageStats(
                 reused=tuple(reused), recomputed=tuple(recomputed)
@@ -471,34 +518,44 @@ def peek_conventional_verdict(
     entry: Optional[str] = None,
     max_degree: int = 3,
     budget=None,
+    fingerprints: Optional[Fingerprints] = None,
 ) -> Optional[Dict[str, Any]]:
     """A warm conventional verdict for ``source``'s entry, or ``None``.
 
     The admission-path probe behind ``POST /analyze {"source": ...}``:
-    one budgeted parse plus one artifact read — never an LP solve — so a
-    hit costs milliseconds and a miss costs nothing but the parse the
-    lint gate already paid for.  Returns the verdict in the batch
-    harness's ``_verdict_to_json`` shape (``runtime_seconds`` pinned to
-    0.0: the work was done in a previous editor/watch session).
+    one artifact read — never an LP solve — so a hit costs milliseconds
+    and a miss costs next to nothing.  ``fingerprints`` are ``source``'s
+    own, from a parse the caller already made (the daemon's lint gate,
+    :meth:`IncrementalEngine.lint`); without them ``source`` is parsed
+    here under ``budget``.  Returns the verdict in the batch harness's
+    ``_verdict_to_json`` shape (``runtime_seconds`` pinned to 0.0: the
+    work was done in a previous editor/watch session).
     """
     engine = IncrementalEngine(store, max_degree=max_degree, budget=budget)
-    try:
-        parsed = parse_program_ex(
-            source,
-            max_chars=getattr(budget, "max_source_chars", None),
-            max_tokens=getattr(budget, "max_tokens", None),
-            max_depth=getattr(budget, "max_nesting_depth", None),
-        )
-    except (LexError, ParseError):
-        return None
-    fps = fingerprint_functions(source, parsed)
+    fps = fingerprints
     if fps is None:
-        return None
-    root = entry_function(parsed.functions, entry)
-    if root is None:
+        try:
+            parsed = parse_program_ex(
+                source,
+                max_chars=getattr(budget, "max_source_chars", None),
+                max_tokens=getattr(budget, "max_tokens", None),
+                max_depth=getattr(budget, "max_nesting_depth", None),
+            )
+        except (LexError, ParseError):
+            return None
+        fps = fingerprint_functions(source, parsed)
+        if fps is None:
+            return None
+    # the entry, else the last definition (entry_function over the names)
+    root = fps.order[-1] if entry is None else entry
+    if root not in fps.cone:
         return None
     value = store.load(engine._bound_key(fps, root))
-    if value is None or value.get("status") == "front-end-error":
+    if (
+        value is None
+        or value.get("status") == "front-end-error"
+        or not _in_place(value, fps, root)
+    ):
         return None
     return {
         "status": value["status"],

@@ -15,8 +15,9 @@ data-driven methods without asking the submitter for a generator.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,33 +45,53 @@ def normalize_source(source: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def content_address(source: str) -> Tuple[str, str]:
+    """``(normalized source, its SHA-256)``: all a submission needs
+    normalized and hashed, done once."""
+    normalized = normalize_source(source)
+    return normalized, hashlib.sha256(normalized.encode()).hexdigest()
+
+
 def source_digest(source: str) -> str:
     """SHA-256 of the normalized source (the content address)."""
-    return hashlib.sha256(normalize_source(source).encode()).hexdigest()
+    return content_address(source)[1]
+
+
+def digest_name(digest: str) -> str:
+    """Synthetic benchmark name for the source with ``digest``: ``user:<sha12>``."""
+    return f"user:{digest[:12]}"
 
 
 def adhoc_name(source: str) -> str:
     """Synthetic benchmark name for ad-hoc source: ``user:<sha12>``."""
-    return f"user:{source_digest(source)[:12]}"
+    return digest_name(source_digest(source))
 
 
-def match_registry_source(source: str, mode: str = "data-driven") -> Optional[Tuple[str, str]]:
-    """``(benchmark, entry)`` when normalized ``source`` is byte-identical
-    to a suite benchmark's variant for ``mode``.
+@functools.lru_cache(maxsize=None)
+def _registry_digests() -> Dict[Tuple[str, str], Tuple[str, str]]:
+    """``(mode, digest) -> (benchmark, entry)`` over every suite variant,
+    hashed once per process (the registry is fixed once loaded); the
+    first benchmark in registry order keeps a digest two variants share."""
+    table: Dict[Tuple[str, str], Tuple[str, str]] = {}
+    for spec in all_benchmarks():
+        variant = (spec.name, spec.data_driven_entry)
+        table.setdefault(("data-driven", source_digest(spec.data_driven_source)), variant)
+        if spec.hybrid_source is not None:
+            variant = (spec.name, spec.hybrid_entry)
+            table.setdefault(("hybrid", source_digest(spec.hybrid_source)), variant)
+    return table
+
+
+def registry_match(digest: str, mode: str = "data-driven") -> Optional[Tuple[str, str]]:
+    """``(benchmark, entry)`` when the normalized source with ``digest``
+    is byte-identical to a suite benchmark's variant for ``mode``.
 
     This is what makes source↔benchmark submissions share a cache entry:
     a matching source is re-routed onto the benchmark-name path, so the
     resulting task (and cache key, and bounds) is *the same object* the
     batch harness produces.
     """
-    digest = source_digest(source)
-    for spec in all_benchmarks():
-        if mode == "hybrid":
-            if spec.hybrid_source is not None and source_digest(spec.hybrid_source) == digest:
-                return spec.name, spec.hybrid_entry
-        elif source_digest(spec.data_driven_source) == digest:
-            return spec.name, spec.data_driven_entry
-    return None
+    return _registry_digests().get(("hybrid" if mode == "hybrid" else "data-driven", digest))
 
 
 def generate_value(ty: A.Type, rng: np.random.Generator, n: int) -> Value:

@@ -886,24 +886,26 @@ def function_line_spans(
     line before the next definition (the last one runs to EOF), so every
     source line after the first ``let`` belongs to exactly one function.
     Returns ``None`` when the program cannot be sliced unambiguously:
-    duplicate top-level names, or a definition without position info.
-    Consumers (the incremental analysis pipeline) must fall back to
-    whole-program granularity in that case.
+    duplicate top-level names, a definition without position info, or a
+    definition whose ``let`` follows other text on its line (the end of
+    the previous body, which a line slice would hand to the wrong
+    function).  Consumers (the incremental analysis pipeline) must fall
+    back to whole-program granularity in that case.
     """
     spans: Dict[str, Tuple[int, int]] = {}
     ordered = list(functions)
-    total_lines = source.count("\n") + 1
+    lines = source.split("\n")
     for i, fdef in enumerate(ordered):
         pos = fdef.pos or fdef.name_pos
         if pos is None or pos.line <= 0 or fdef.name in spans:
             return None
         if i + 1 < len(ordered):
             nxt = ordered[i + 1].pos or ordered[i + 1].name_pos
-            if nxt is None or nxt.line <= 0:
+            if nxt is None or nxt.line <= 0 or lines[nxt.line - 1][: nxt.col - 1].strip():
                 return None
             end = nxt.line - 1
         else:
-            end = total_lines
+            end = len(lines)
         if end < pos.line:
             return None
         spans[fdef.name] = (pos.line, end)

@@ -21,8 +21,8 @@ for bit on the suite's LPs under all three methods.
 ``scipy.optimize._highspy`` is private API.  :data:`linprog` is
 :func:`solve` where it imports and ``scipy.optimize.linprog`` itself
 where it does not; inputs outside what this code passes (non-finite
-values, non-canonical sparse matrices, other methods) also go to
-``scipy.optimize.linprog``.
+values, non-canonical sparse matrices, other methods, options other than
+``time_limit``) also go to ``scipy.optimize.linprog``.
 """
 
 from __future__ import annotations
@@ -49,14 +49,16 @@ _TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=None)
-def _options(solver):
+def _options(solver, time_limit):
     """The options ``linprog`` sets on HiGHS (those it leaves ``None``
     keep HiGHS's defaults); ``passOptions`` copies them, so one set per
-    method serves every solve."""
+    method and time limit serves every solve."""
     options = _h.HighsOptions()
     options.presolve = "on"
     if solver is not None:
         options.solver = solver
+    if time_limit is not None:
+        options.time_limit = time_limit
     options.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = False
     options.output_flag = False
@@ -109,8 +111,12 @@ def _matrix(A_ub, A_eq, n: int):
     return sps.csc_array(np.vstack(dense))
 
 
-def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), method="highs"):
-    """``scipy.optimize.linprog`` for the HiGHS methods, without its wrapping."""
+def solve(
+    c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), method="highs",
+    options=None,
+):
+    """``scipy.optimize.linprog`` for the HiGHS methods, without its
+    wrapping; ``options`` may set ``time_limit`` (seconds)."""
     cost = np.array(c, dtype=np.float64).squeeze()
     if cost.size == 1:
         cost = cost.reshape(-1)
@@ -118,8 +124,10 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), metho
     upper, equal = _vector(b_ub), _vector(b_eq)
     table = _bounds(bounds, n) if cost.ndim == 1 and n else None
     A = _matrix(A_ub, A_eq, n) if table is not None else None
+    time_limit = (options or {}).get("time_limit")
     if (
         method not in _SOLVERS
+        or set(options or ()) - {"time_limit"}
         or A is None
         or A.shape != (upper.size + equal.size, n)
         or not np.isfinite(cost).all()
@@ -128,7 +136,8 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), metho
         or not np.isfinite(equal).all()
     ):
         return scipy_linprog(
-            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method
+            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method,
+            options=options,
         )
 
     lb, ub = table.T.copy()
@@ -154,7 +163,7 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), metho
     highs = _h._Highs()
     x = fun = slack = con = None
     nit = 0
-    if highs.passOptions(_options(_SOLVERS[method])) == _h.HighsStatus.kError:
+    if highs.passOptions(_options(_SOLVERS[method], time_limit)) == _h.HighsStatus.kError:
         model_status = highs.getModelStatus()
         detail = highs.modelStatusToString(model_status)
     elif highs.passModel(model) == _h.HighsStatus.kError:

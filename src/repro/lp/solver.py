@@ -32,9 +32,19 @@ STAGE_TOLERANCE = 1e-9
 FALLBACK_METHODS = ("highs", "highs-ds", "highs-ipm")
 PERTURB_SCALE = 1e-9
 
+#: wall-clock cap (seconds) on the chain's ``highs-ipm`` attempt: HiGHS's
+#: interior-point method can run without end on a degenerate LP that both
+#: simplex methods solve in milliseconds (a MedianOfMedians per-draw LP
+#: ran for over 60 s).  A stall then ends in the perturbed-RHS retry or a
+#: classified LPError instead of holding its worker to the request
+#: deadline.  Ten times the slowest suite LP under ``highs-ipm`` (2.9 s, a
+#: 1,213-column QuickSelect hybrid polytope LP) and a quarter of the
+#: daemon's 120 s default deadline
+IPM_TIME_LIMIT = 30.0
+
 #: linprog statuses that are genuine verdicts (success / infeasible /
-#: unbounded) rather than numerical accidents (1 = iteration limit,
-#: 4 = numerical difficulties)
+#: unbounded) rather than numerical accidents (1 = iteration or time
+#: limit, 4 = numerical difficulties)
 _DEFINITIVE_STATUSES = (0, 2, 3)
 
 
@@ -72,7 +82,13 @@ def _run_linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, method="highs"):
         b_eq=b_eq if has_eq else None,
         bounds=bounds,
         method=method,
+        options=method_options(method),
     )
+
+
+def method_options(method: str) -> Optional[Dict[str, float]]:
+    """The ``linprog`` options the fallback chain passes with ``method``."""
+    return {"time_limit": IPM_TIME_LIMIT} if method == "highs-ipm" else None
 
 
 def _solve_robust(c, A_ub, b_ub, A_eq, b_eq, bounds, context=""):

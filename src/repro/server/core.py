@@ -7,7 +7,7 @@ directly without a socket in sight.
 
 Admission order is deliberate::
 
-    parse/validate → cache lookup → rate limit → degrade → bounded queue
+    parse/validate (+ lint gate) → cache lookup → rate limit → degrade → bounded queue
 
 The cache lookup comes *before* the rate limiter: a cache hit costs one
 dict read and one journal append, so serving it never endangers the
@@ -51,6 +51,47 @@ from .admission import (
     TokenBucketTable,
 )
 from .model import AnalyzeSpec, LintRejection, RequestRecord, SpecError, WorkItem
+
+
+class _SourceGate:
+    """The admission lint gate for one request's source.
+
+    One read-only pass of the daemon's incremental engine: a budgeted
+    parse, fingerprints, and the diagnostics from the stored lint buckets
+    when all are present, else from the lint passes over that parse.  The
+    pass writes nothing to the artifact store: rejected sources are not
+    rate-limited.  It keeps the text it parsed and its fingerprints, so
+    the fast path reads the entry's bound artifact without parsing again.
+    """
+
+    def __init__(self, core: "ServerCore") -> None:
+        self.core = core
+        self.source: Optional[str] = None
+        self.fingerprints = None
+
+    def __call__(self, source: str, entry: Optional[str]) -> None:
+        from ..analysis.diagnostics import to_json as diagnostics_json
+
+        front = self.core.engine.lint(source, path="<request>", entry=entry)
+        # boundability predictions (R042/R043) are the analyzer's verdict
+        # to make, exactly as in the batch harness's lint guard — the
+        # data-driven methods can still measure such programs
+        errors = [
+            d
+            for d in front.diagnostics
+            if d.severity == "error" and d.code not in ("R042", "R043")
+        ]
+        if errors:
+            raise LintRejection(
+                f"source rejected by lint: {len(errors)} error(s), "
+                f"first: [{errors[0].code}] {errors[0].message}",
+                diagnostics=diagnostics_json(errors)["diagnostics"],
+            )
+        self.source, self.fingerprints = source, front.fingerprints
+
+    def fingerprints_of(self, source: str):
+        """The gate's fingerprints when it parsed exactly ``source``."""
+        return self.fingerprints if source == self.source else None
 
 
 class AdmissionError(Exception):
@@ -278,11 +319,13 @@ class ServerCore:
         if self._draining:
             raise AdmissionError(503, "daemon is draining", retry_after=None, code="draining")
         tenant = self._tenant_of(api_key)
+        gate = _SourceGate(self)
         try:
             spec = AnalyzeSpec.from_json(
                 body,
                 client=client,
                 default_deadline=self.config.default_deadline,
+                lint=gate,
                 max_samples=self.config.max_samples,
                 tenant=tenant,
                 budget=self.budget,
@@ -295,7 +338,7 @@ class ServerCore:
             self.counters["source_requests"] += 1
         record = self._new_record(spec)
         try:
-            return self._admit(spec, record)
+            return self._admit(spec, record, gate)
         except BaseException:
             # a step that raised before the request was answered or queued
             # (cache load, fast-path peek, journal write-ahead, queue) must
@@ -306,7 +349,9 @@ class ServerCore:
             )
             raise
 
-    def _admit(self, spec: AnalyzeSpec, record: RequestRecord) -> RequestRecord:
+    def _admit(
+        self, spec: AnalyzeSpec, record: RequestRecord, gate: _SourceGate
+    ) -> RequestRecord:
         """Answer ``record`` from a store, shed it, or queue it."""
         # 1. cache: a hit is served unconditionally — no token, no queue
         #    slot, byte-identical to the batch harness's outcome
@@ -324,14 +369,15 @@ class ServerCore:
         #     the per-function artifact store (populated by `lint --watch`
         #     and `lsp` sessions sharing this cache directory) before
         #     paying for a token or a queue slot.  Lookup only — never an
-        #     LP solve — and the synthesized outcome is NOT written back
-        #     to the task cache, so the batch path stays canonical.
+        #     LP solve, and no second parse when the gate parsed this very
+        #     text — and the synthesized outcome is NOT written back to
+        #     the task cache, so the batch path stays canonical.
         if (
             self.cache is not None
             and spec.source is not None
             and spec.method == "conventional"
         ):
-            verdict = self._peek_incremental(spec)
+            verdict = self._peek_incremental(spec, gate.fingerprints_of(spec.source))
             if verdict is not None:
                 outcome = task_outcome(
                     spec.task(),
@@ -428,27 +474,42 @@ class ServerCore:
 
     @functools.cached_property
     def artifacts(self):
-        """The warm per-function verdicts of watch/LSP sessions sharing the
-        cache directory; built on first use, so a daemon that is never
+        """The warm per-function artifacts of watch/LSP sessions sharing
+        the cache directory; built on first use, so a daemon that is never
         sent source never loads the incremental engine."""
         from ..analysis.incremental import ArtifactStore
 
         return ArtifactStore(self.config.cache_dir)
 
-    def _peek_incremental(self, spec) -> Optional[Dict[str, Any]]:
+    @functools.cached_property
+    def engine(self):
+        """The source gate's incremental engine: read-only, over the
+        artifact store when there is a cache directory (lint passes every
+        time otherwise); built on the first source request."""
+        from ..analysis.incremental import IncrementalEngine
+
+        store = self.artifacts if self.config.cache_dir else None
+        return IncrementalEngine(store, budget=self.budget)
+
+    def _peek_incremental(self, spec, fingerprints) -> Optional[Dict[str, Any]]:
         """A warm per-function verdict for this source, or ``None``.
 
-        Any failure (unparseable source, unsliceable program, artifact
-        directory trouble) falls through to the normal queue path —
-        the fast path may only ever make a request cheaper, never break
-        it."""
+        ``fingerprints`` are the source's from the lint gate's parse, or
+        ``None`` to have the peek parse it.  Any failure (unparseable
+        source, unsliceable program, artifact directory trouble) falls
+        through to the normal queue path — the fast path may only ever
+        make a request cheaper, never break it."""
         # imported per call, not at module level: the name is looked up
         # on the module each time, so a wrapper installed there is honoured
         from ..analysis.incremental import peek_conventional_verdict
 
         try:
             return peek_conventional_verdict(
-                self.artifacts, spec.source, spec.entry, budget=self.budget
+                self.artifacts,
+                spec.source,
+                spec.entry,
+                budget=self.budget,
+                fingerprints=fingerprints,
             )
         except Exception:
             return None

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..config import AnalysisConfig, ExecutionBudget
-from ..evalharness.adhoc import adhoc_name, match_registry_source, normalize_source
+from ..evalharness.adhoc import content_address, digest_name, registry_match
 from ..evalharness.runner import EvalTask, METHODS, MODES
 
 #: request states with no further transitions
@@ -91,10 +91,13 @@ class AnalyzeSpec:
         body: Dict[str, Any],
         client: str,
         default_deadline: float,
+        lint: Callable[[str, Optional[str]], None],
         max_samples: int = _MAX_SAMPLES,
         tenant: str = "public",
         budget: Optional[ExecutionBudget] = None,
     ) -> "AnalyzeSpec":
+        """Validate ``body``; ``lint(source, entry)`` is the admission lint
+        gate for submitted source, raising :class:`LintRejection`."""
         if not isinstance(body, dict):
             raise SpecError("request body must be a JSON object")
         method = str(body.get("method", "bayespc")).lower()
@@ -113,7 +116,7 @@ class AnalyzeSpec:
             if benchmark:
                 raise SpecError("provide 'benchmark' or 'source', not both")
             source, entry, degree, benchmark = cls._validate_source(
-                raw_source, body, mode, budget
+                raw_source, body, mode, lint
             )
         else:
             if not benchmark or not isinstance(benchmark, str):
@@ -158,7 +161,7 @@ class AnalyzeSpec:
         raw_source: Any,
         body: Dict[str, Any],
         mode: str,
-        budget: Optional[ExecutionBudget],
+        lint: Callable[[str, Optional[str]], None],
     ):
         """Admit ad-hoc source: lint gate, then registry re-routing.
 
@@ -168,9 +171,6 @@ class AnalyzeSpec:
         benchmark-name path so it shares that cell's task id, cache
         entry, and byte-identical bounds.
         """
-        from ..analysis.diagnostics import to_json as diagnostics_json
-        from ..analysis.engine import lint_source
-
         if not isinstance(raw_source, str) or not raw_source.strip():
             raise SpecError("field 'source' must be a non-empty program string")
         entry = body.get("entry")
@@ -179,19 +179,9 @@ class AnalyzeSpec:
         degree = _field(body, "degree", int, None)
         if degree is not None and not 1 <= degree <= _MAX_DEGREE:
             raise SpecError(f"field 'degree' must be in [1, {_MAX_DEGREE}]")
-        result = lint_source(raw_source, path="<request>", entry=entry, budget=budget)
-        # boundability predictions (R042/R043) are the analyzer's verdict
-        # to make, exactly as in the batch harness's lint guard — the
-        # data-driven methods can still measure such programs
-        errors = [d for d in result.errors() if d.code not in ("R042", "R043")]
-        if errors:
-            doc = diagnostics_json(errors)
-            raise LintRejection(
-                f"source rejected by lint: {len(errors)} error(s), "
-                f"first: [{errors[0].code}] {errors[0].message}",
-                diagnostics=doc["diagnostics"],
-            )
-        matched = match_registry_source(raw_source, mode)
+        lint(raw_source, entry)
+        normalized, digest = content_address(raw_source)
+        matched = registry_match(digest, mode)
         if matched is not None:
             benchmark, registry_entry = matched
             if entry is None or entry == registry_entry:
@@ -201,7 +191,7 @@ class AnalyzeSpec:
                 "mode 'hybrid' requires a registry benchmark "
                 "(ad-hoc source is analyzed data-driven)"
             )
-        return normalize_source(raw_source), entry, degree, adhoc_name(raw_source)
+        return normalized, entry, degree, digest_name(digest)
 
     def config(self) -> AnalysisConfig:
         # the same base config `bench --samples N --seed S` builds, so the

@@ -198,6 +198,103 @@ def test_incremental_diagnostics_match_lint_source_over_suite(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Line shifts: warm equals cold wherever the functions move
+# ---------------------------------------------------------------------------
+
+# a non-decreasing recursion: its bound detail quotes R042's position
+SPIN = """let rec length xs =
+  match xs with
+  | [] -> 0
+  | _hd :: tl -> let _ = Raml.tick 1.0 in 1 + length tl
+
+let rec spin xs =
+  match xs with
+  | [] -> 0
+  | _hd :: tl -> let _ = Raml.tick 1.0 in spin xs
+
+let main xs = spin xs + length xs
+"""
+
+
+def _shifted(source):
+    """Per function: blank lines and a comment line inserted above it, and
+    the blank line above it deleted (where there is one)."""
+    lines = source.split("\n")
+    starts = [f.pos.line - 1 for f in parse_program_ex(source).functions]
+    for start in starts:
+        for inserted in (["", "", ""], ["(* moved *)"]):
+            yield "\n".join(lines[:start] + inserted + lines[start:])
+        if start > 0 and not lines[start - 1].strip():
+            yield "\n".join(lines[: start - 1] + lines[start:])
+
+
+def _assert_warm_equals_cold(engine, source, label, entry=None):
+    warm = engine.analyze(source, path=label, entry=entry)
+    cold = IncrementalEngine(None, max_degree=engine.max_degree).analyze(
+        source, path=label, entry=entry
+    )
+    assert json.dumps(warm.document(), sort_keys=True) == json.dumps(
+        cold.document(), sort_keys=True
+    ), label
+    return warm
+
+
+def test_line_shifts_keep_positions_and_reuse_lp_verdicts(tmp_path):
+    engine = _engine(tmp_path, max_degree=1)
+    base = engine.analyze(SPIN, entry="main")
+    assert "(at 9:43)" in base.bounds["main"]["detail"]
+    moved = "\n\n\n" + SPIN
+    warm = _assert_warm_equals_cold(engine, moved, "moved", entry="main")
+    assert "(at 12:43)" in warm.bounds["main"]["detail"]
+    # every function moved: fresh lint buckets; the R042 verdicts quote a
+    # position and are derived again (no LP), the LP verdict is reused
+    assert set(warm.lint.recomputed) == {"length", "spin", "main"}
+    assert warm.bound_stage.reused == ("length",)
+    assert set(warm.bound_stage.recomputed) == {"spin", "main"}
+    # the fast path serves the layout the store last saw, and misses on
+    # the other one rather than quote a stale position
+    peeked = peek_conventional_verdict(engine.store, moved, "main", max_degree=1)
+    assert peeked["detail"] == warm.bounds["main"]["detail"]
+    assert peek_conventional_verdict(engine.store, SPIN, "main", max_degree=1) is None
+    # and back: the first layout's lint buckets are still stored
+    again = _assert_warm_equals_cold(engine, SPIN, "back", entry="main")
+    assert again.lint.recomputed == ()
+    assert again.bound_stage.reused == ("length",)
+
+
+@pytest.mark.slow
+def test_line_shifts_warm_equals_cold_over_suite(tmp_path):
+    corpus = list(_corpus()) + [("spin", SPIN, "main")]
+    for label, source, entry in corpus:
+        engine = IncrementalEngine(ArtifactStore(tmp_path / "store"), max_degree=1)
+        engine.analyze(source, path=label, entry=entry)
+        for index, variant in enumerate(_shifted(source)):
+            _assert_warm_equals_cold(engine, variant, f"{label}#{index}", entry)
+
+
+def test_lone_carriage_return_is_not_a_line_break(tmp_path):
+    """The lexer reads a lone CR as a space: a function holding one is not
+    the function with a line break there, whose positions differ."""
+    engine = _engine(tmp_path, max_degree=1)
+    engine.analyze("let f x = x\nlet main z =\n  y\n")
+    result = _assert_warm_equals_cold(engine, "let f x = x\nlet main z =\r  y\n", "cr")
+    assert [(d.code, d.span.line) for d in result.diagnostics if d.code == "R010"] == [
+        ("R010", 2)
+    ]
+
+
+def test_let_after_text_on_its_line_is_not_sliced(tmp_path):
+    """The end of a body on the next definition's line would be sliced
+    into that definition: editing it must not replay a stale verdict."""
+    engine = _engine(tmp_path, max_degree=1)
+    engine.analyze("let f x =\n  x + 1 let main y = f y\n")
+    edited = "let f x =\n  x + true let main y = f y\n"
+    result = _assert_warm_equals_cold(engine, edited, "edited")
+    assert result.granularity == "program"
+    assert result.bounds["f"]["status"] == "front-end-error"
+
+
+# ---------------------------------------------------------------------------
 # Fingerprints
 # ---------------------------------------------------------------------------
 

@@ -45,8 +45,9 @@ def _bits(value):
 
 
 def assert_same_result(c, kwargs, method):
-    """One LP through both functions under ``method``."""
-    kwargs = dict(kwargs, method=method)
+    """One LP through both functions under ``method``, with the options
+    the fallback chain passes with it (the interior-point time limit)."""
+    kwargs = dict(kwargs, method=method, options=solver_mod.method_options(method))
     expected = scipy_linprog(c, **kwargs)
     got = highs.solve(c, **kwargs)
     assert (got.status, got.nit, got.message) == (
@@ -332,6 +333,48 @@ def test_fallback_chain_counts_each_failed_method(lp_fail):
     solution = solve_lexicographic(p, [x])
     assert solution.fallbacks == 1
     assert solution.objective_values == [3.0]
+
+
+class SpyLinprog:
+    """Records ``(method, status, message)`` of each real solve."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, c, **kwargs):
+        result = highs.linprog(c, **kwargs)
+        self.seen.append((kwargs["method"], result.status, result.message))
+        return result
+
+
+@pytest.mark.parametrize(
+    "faults,ends_in",
+    [
+        ("lp-fail:count=2", "retry"),  # highs, highs-ds
+        ("lp-fail:match=highs:count=-1;lp-fail:match=highs-ds:count=1", "LPError"),
+    ],
+)
+def test_interior_point_stall_ends_in_retry_or_lperror(lp_fail, monkeypatch, faults, ends_in):
+    """An interior-point attempt that runs out of time is a numerical
+    failure like any other: the chain goes on to the perturbed retry."""
+    monkeypatch.setattr(solver_mod, "IPM_TIME_LIMIT", 1e-9)
+    spy = SpyLinprog()
+    monkeypatch.setattr(solver_mod, "linprog", spy)
+    lp_fail(faults)
+    p = LPProblem()
+    x, y = p.fresh("x"), p.fresh("y")
+    p.add_ge(x + y, 3)
+    if ends_in == "retry":
+        solution = solve_lexicographic(p, [x + 2 * y])
+        assert solution.fallbacks == 3
+        assert solution.objective_values == [pytest.approx(3.0, abs=1e-8)]
+        assert [method for method, _s, _m in spy.seen] == ["highs-ipm", "highs"]
+    else:
+        with pytest.raises(LPError, match="after 4 attempt"):
+            solve_lexicographic(p, [x + 2 * y])
+        assert [method for method, _s, _m in spy.seen] == ["highs-ipm"]
+    _method, status, message = spy.seen[0]
+    assert status == 1 and message.startswith("Time limit reached")
 
 
 def test_fallback_chain_ends_in_lperror_after_four_attempts(lp_fail):
