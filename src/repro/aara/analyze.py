@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .annot import coeffs_by_degree, equate, instantiate, zero_annotation
 from .bound import ResourceBound
@@ -104,11 +104,11 @@ def build_analysis(
     degree: int,
     stat_handler: Optional[StatHandler] = None,
     stat_mode: str = "handler",
-    pin_root_output: bool = True,
     lp: Optional[LPProblem] = None,
     budget=None,
 ) -> Analysis:
-    """Generate the full constraint system for ``fname`` at ``degree``.
+    """Generate the full constraint system for ``fname`` at ``degree``,
+    the root's output annotation and ``q0`` pinned to 0.
 
     ``budget`` (an :class:`~repro.config.ExecutionBudget`) caps the LP's
     variable/constraint counts: adversarial recursion shapes that would
@@ -130,10 +130,9 @@ def build_analysis(
             program, degree, lp=lp, stat_handler=stat_handler, stat_mode=stat_mode
         )
         signature = generator.instantiate(fname, costful=True)
-        if pin_root_output:
-            zero = zero_annotation(program[fname].fun_type.result, degree)
-            equate(signature.result, zero, generator.lp, note="root output pinned to 0")
-            generator.lp.add_eq(signature.q0, 0, note="root q0 pinned to 0")
+        zero = zero_annotation(program[fname].fun_type.result, degree)
+        equate(signature.result, zero, generator.lp, note="root output pinned to 0")
+        generator.lp.add_eq(signature.q0, 0, note="root q0 pinned to 0")
         tspan.set(constraints=len(generator.lp.constraints), variables=generator.lp.num_vars)
         telemetry.counter("aara.builds", 1)
         telemetry.counter("aara.constraints", len(generator.lp.constraints))
@@ -209,7 +208,9 @@ def run_conventional_function(
 class ConventionalVerdict:
     """Outcome of running purely static AARA on a benchmark program."""
 
-    status: str  # 'bound' | 'cannot-analyze' | 'infeasible' | 'unboundable' | 'resource-limit'
+    #: 'bound' | 'cannot-analyze' | 'infeasible' | 'unboundable' |
+    #: 'resource-limit', or (incremental artifacts only) 'front-end-error'
+    status: str
     bound: Optional[ResourceBound] = None
     degree: int = 0
     detail: str = ""
@@ -219,6 +220,40 @@ class ConventionalVerdict:
     @property
     def succeeded(self) -> bool:
         return self.status == "bound"
+
+    def to_json(self, artifact: bool = False) -> Dict[str, Any]:
+        """The verdict's JSON record, as a task outcome (and the daemon's
+        fast path) carries it; with ``artifact``, as an incremental artifact
+        stores it: no timing, since artifacts are byte-identical across
+        runs, and the bound's rendering added."""
+        from ..inference.serialize import bound_to_json
+
+        doc = {
+            "status": self.status,
+            "degree": self.degree,
+            "detail": self.detail,
+            "runtime_seconds": self.runtime_seconds,
+            "feasible_degrees": list(self.feasible_degrees),
+            "bound": None if self.bound is None else bound_to_json(self.bound),
+        }
+        if artifact:
+            del doc["runtime_seconds"]
+            doc["describe"] = None if self.bound is None else self.bound.describe()
+        return doc
+
+    @classmethod
+    def from_json(cls, data: Dict[str, Any]) -> "ConventionalVerdict":
+        """The verdict of either record :meth:`to_json` writes."""
+        from ..inference.serialize import bound_from_json
+
+        return cls(
+            status=data["status"],
+            bound=None if data.get("bound") is None else bound_from_json(data["bound"]),
+            degree=int(data.get("degree", 0)),
+            detail=data.get("detail", ""),
+            runtime_seconds=float(data.get("runtime_seconds", 0.0)),
+            feasible_degrees=tuple(data.get("feasible_degrees", ())),
+        )
 
 
 def run_conventional(
@@ -241,6 +276,7 @@ def run_conventional(
     start = time.perf_counter()
     with telemetry.span("lint.recursion", fname=fname, guard="conventional"):
         from ..analysis.callgraph import call_graph, reachable
+        from ..analysis.engine import SHAPE_CODES
         from ..analysis.recursion import recursion_diagnostics
 
         functions = list(program)
@@ -248,7 +284,7 @@ def run_conventional(
         shape = [
             d
             for d in recursion_diagnostics([f for f in functions if f.name in live])
-            if d.code in ("R042", "R043")
+            if d.code in SHAPE_CODES
         ]
     if shape:
         first = shape[0]

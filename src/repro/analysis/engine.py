@@ -1,10 +1,13 @@
 """The lint pass manager: one entry point over the pre-normalization AST.
 
 ``lint_source`` parses (keeping the parser's lint side-channel), runs the
-ordered passes, and returns a sorted :class:`LintResult`.  Each pass is
-timed under a ``lint.<pass>`` telemetry span — the first dotted component
-is the stage, so ``trace summary`` buckets all lint cost under ``lint`` —
-and contributes to the ``lint.diagnostics`` counter.
+ordered passes, and returns a sorted :class:`LintResult`.
+:func:`run_passes` is the pass loop it shares with the incremental
+engine: each pass is timed under a ``lint.<pass>`` telemetry span — the
+first dotted component is the stage, so ``trace summary`` buckets all
+lint cost under ``lint`` — and contributes to the ``lint.diagnostics``
+counter.  :func:`fatal_errors` is the one rule for which diagnostics
+stop a program before analysis.
 
 Lexer and parser failures do not abort linting with a traceback: they
 become a single ``R001``/``R002`` diagnostic so every front-end finding
@@ -15,11 +18,12 @@ from __future__ import annotations
 
 import ast as pyast
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Collection, List, Optional, Sequence, Tuple
 
 from .. import telemetry
+from ..config import parse_caps
 from ..errors import LexError, ParseError
-from ..lang.parser import parse_program_ex
+from ..lang.parser import ParseResult, parse_program_ex
 from .deadcode import deadcode_diagnostics
 from .diagnostics import Diagnostic, from_source_error
 from .recursion import recursion_diagnostics
@@ -77,17 +81,22 @@ def lint_source(
     """
     try:
         with telemetry.span("lint.parse", path=path):
-            parsed = parse_program_ex(
-                source,
-                max_chars=getattr(budget, "max_source_chars", None),
-                max_tokens=getattr(budget, "max_tokens", None),
-                max_depth=getattr(budget, "max_nesting_depth", None),
-            )
+            parsed = parse_program_ex(source, **parse_caps(budget))
     except (LexError, ParseError) as exc:
         return LintResult(
             path=path, diagnostics=[from_source_error(exc, path)], source=source
         )
+    return LintResult(path=path, diagnostics=run_passes(parsed, entry, path), source=source)
 
+
+def diag_order(d: Diagnostic) -> Tuple:
+    """A total order over diagnostics, so cache-assembled and freshly
+    computed lists agree even among same-position ties."""
+    return (*d.sort_key(), d.severity, d.message, d.function or "", d.notes)
+
+
+def run_passes(parsed: ParseResult, entry: Optional[str], path: str) -> List[Diagnostic]:
+    """Every lint pass over one parse, sorted by :func:`diag_order`."""
     diags: List[Diagnostic] = []
     for name, runner in PASSES:
         with telemetry.span(f"lint.{name}", path=path):
@@ -95,8 +104,30 @@ def lint_source(
         if found:
             telemetry.counter("lint.diagnostics", len(found), lint_pass=name)
         diags.extend(found)
-    diags.sort(key=lambda d: d.sort_key())
-    return LintResult(path=path, diagnostics=diags, source=source)
+    diags.sort(key=diag_order)
+    return diags
+
+
+#: the recursion-shape predictions: ``unboundable`` is the conventional
+#: analyzer's verdict to make, and the data-driven methods can still
+#: measure such programs, so these errors never stop a program
+SHAPE_CODES = ("R042", "R043")
+
+
+def fatal_errors(
+    diagnostics: Sequence[Diagnostic], members: Optional[Collection[str]] = None
+) -> List[Diagnostic]:
+    """The errors that stop a program before analysis: every error but the
+    shape predictions; with ``members``, only those inside these functions
+    or at program level."""
+    members = None if members is None else set(members)
+    return [
+        d
+        for d in diagnostics
+        if d.severity == "error"
+        and d.code not in SHAPE_CODES
+        and (members is None or d.function is None or d.function in members)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,17 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import telemetry
+from ..config import parse_caps
 from ..errors import LexError, ParseError, ReproError, SourceError
 from ..lang.parser import ParseResult, parse_program_ex
 from ..store import Store
 from .deadcode import entry_function
 from .callgraph import reachable
 from .diagnostics import Diagnostic, Span, from_source_error, to_json
-from .engine import PASSES
+from .engine import diag_order, fatal_errors, run_passes
 from .fingerprint import FINGERPRINT_VERSION, Fingerprints, fingerprint_functions
 
 #: bump to invalidate every persisted incremental artifact
@@ -95,7 +96,7 @@ class ArtifactStore(Store):
 
 
 # ---------------------------------------------------------------------------
-# Diagnostic / verdict (de)serialization
+# Diagnostic (de)serialization
 # ---------------------------------------------------------------------------
 
 
@@ -129,27 +130,6 @@ def _diag_from_doc(doc: Dict[str, Any], path: str) -> Diagnostic:
     )
 
 
-def _diag_order(d: Diagnostic) -> Tuple:
-    """A total order over diagnostics, so cache-assembled and freshly
-    computed lists agree even among same-position ties."""
-    return (*d.sort_key(), d.severity, d.message, d.function or "", d.notes)
-
-
-def _verdict_doc(verdict) -> Dict[str, Any]:
-    """Deterministic JSON for a :class:`ConventionalVerdict` (timing
-    dropped — artifacts must be byte-identical across runs)."""
-    from ..inference.serialize import bound_to_json
-
-    return {
-        "status": verdict.status,
-        "degree": verdict.degree,
-        "detail": verdict.detail,
-        "feasible_degrees": list(verdict.feasible_degrees),
-        "bound": None if verdict.bound is None else bound_to_json(verdict.bound),
-        "describe": None if verdict.bound is None else verdict.bound.describe(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -168,7 +148,8 @@ class IncrementalResult:
     path: str
     entry: Optional[str]
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    #: function name -> verdict doc (source order); see :func:`_verdict_doc`
+    #: function name -> verdict artifact doc (source order); see
+    #: :meth:`~repro.aara.analyze.ConventionalVerdict.to_json`
     bounds: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     lint: StageStats = field(default_factory=StageStats)
     bound_stage: StageStats = field(default_factory=StageStats)
@@ -276,23 +257,17 @@ class IncrementalEngine:
     # -- pipeline -----------------------------------------------------------
 
     def analyze(
-        self,
-        source: str,
-        path: str = "<input>",
-        entry: Optional[str] = None,
-        want_bounds: bool = True,
+        self, source: str, path: str = "<input>", entry: Optional[str] = None
     ) -> IncrementalResult:
         result, parsed = self._front_end(source, path, entry, write=True)
-        if result.granularity == "program" and want_bounds:
+        if result.granularity == "program":
             names = tuple(dict.fromkeys(f.name for f in parsed.functions))
             result.bound_stage = StageStats(recomputed=names)
+            fatal = fatal_errors(result.diagnostics)
             for name in names:
-                result.bounds[name] = self._compute_bound(
-                    parsed, name, self._cone_errors(result.diagnostics, None, name)
-                )
+                result.bounds[name] = self._compute_bound(parsed, name, fatal)
         elif result.granularity == "function":
-            if want_bounds:
-                self._bound_stage(parsed, result.fingerprints, result)
+            self._bound_stage(parsed, result.fingerprints, result)
             telemetry.counter("incr.reused", result.reused)
             telemetry.counter("incr.recomputed", result.recomputed)
         return result
@@ -317,12 +292,7 @@ class IncrementalEngine:
         """Parse, fingerprint and lint; the parse is ``None`` when it failed."""
         with telemetry.span("incr.parse", path=path):
             try:
-                parsed = parse_program_ex(
-                    source,
-                    max_chars=getattr(self.budget, "max_source_chars", None),
-                    max_tokens=getattr(self.budget, "max_tokens", None),
-                    max_depth=getattr(self.budget, "max_nesting_depth", None),
-                )
+                parsed = parse_program_ex(source, **parse_caps(self.budget))
             except (LexError, ParseError) as exc:
                 return IncrementalResult(
                     path=path,
@@ -341,7 +311,7 @@ class IncrementalEngine:
             result = IncrementalResult(
                 path=path, entry=entry, granularity="program", positions=positions
             )
-            result.diagnostics = self._run_passes(parsed, entry, path)
+            result.diagnostics = run_passes(parsed, entry, path)
             names = tuple(dict.fromkeys(f.name for f in parsed.functions))
             result.lint = StageStats(recomputed=names + (_PROGRAM_BUCKET,))
             return result, parsed
@@ -356,14 +326,6 @@ class IncrementalEngine:
         )
         self._lint_stage(parsed, fps, path, entry, root, live, result, write)
         return result, parsed
-
-    def _run_passes(self, parsed: ParseResult, entry, path) -> List[Diagnostic]:
-        diags: List[Diagnostic] = []
-        for name, runner in PASSES:
-            with telemetry.span(f"lint.{name}", path=path):
-                diags.extend(runner(parsed, entry, path))
-        diags.sort(key=_diag_order)
-        return diags
 
     # -- lint stage ---------------------------------------------------------
 
@@ -390,7 +352,7 @@ class IncrementalEngine:
                 for name in fps.order:
                     diags.extend(_diag_from_doc(doc, path) for doc in cached[name])
                 diags.extend(_diag_from_doc(doc, path) for doc in prog_cached)
-                diags.sort(key=_diag_order)
+                diags.sort(key=diag_order)
                 result.diagnostics = diags
                 result.lint = StageStats(
                     reused=tuple(fps.order) + (_PROGRAM_BUCKET,)
@@ -399,7 +361,7 @@ class IncrementalEngine:
             # at least one bucket missed: run the (cheap, whole-program)
             # passes once and (when writing) refresh exactly the missing
             # buckets
-            diags = self._run_passes(parsed, entry, path)
+            diags = run_passes(parsed, entry, path)
             result.diagnostics = diags
             buckets: Dict[str, List[Dict[str, Any]]] = {name: [] for name in fps.order}
             prog_bucket: List[Dict[str, Any]] = []
@@ -424,60 +386,28 @@ class IncrementalEngine:
 
     # -- bound stage --------------------------------------------------------
 
-    @staticmethod
-    def _cone_errors(
-        diagnostics: Sequence[Diagnostic], cone: Optional[Sequence[str]], name: str
-    ) -> List[Diagnostic]:
-        """Fatal front-end errors inside ``name``'s cone (R042/R043 are the
-        conventional analyzer's own verdict to make, so they don't count)."""
-        members = set(cone) if cone is not None else None
-        return [
-            d
-            for d in diagnostics
-            if d.severity == "error"
-            and d.code not in ("R042", "R043")
-            and (members is None or d.function is None or d.function in members)
-        ]
-
     def _compute_bound(
         self, parsed: ParseResult, name: str, fatal: List[Diagnostic]
     ) -> Dict[str, Any]:
-        from ..aara.analyze import run_conventional_function
+        """``name``'s verdict artifact; ``fatal`` are the front-end errors
+        inside its cone, which make it a ``front-end-error``."""
+        from ..aara.analyze import ConventionalVerdict, run_conventional_function
 
         if fatal:
-            first = fatal[0]
-            return {
-                "status": "front-end-error",
-                "degree": 0,
-                "detail": f"[{first.code}] {first.message}",
-                "feasible_degrees": [],
-                "bound": None,
-                "describe": None,
-            }
-        try:
-            verdict = run_conventional_function(
-                parsed.functions, name, max_degree=self.max_degree, budget=self.budget
-            )
-        except SourceError as exc:
-            d = from_source_error(exc)
-            return {
-                "status": "front-end-error",
-                "degree": 0,
-                "detail": f"[{d.code}] {d.message}",
-                "feasible_degrees": [],
-                "bound": None,
-                "describe": None,
-            }
-        except ReproError as exc:
-            return {
-                "status": "front-end-error",
-                "degree": 0,
-                "detail": f"{type(exc).__name__}: {exc}",
-                "feasible_degrees": [],
-                "bound": None,
-                "describe": None,
-            }
-        return _verdict_doc(verdict)
+            detail = f"[{fatal[0].code}] {fatal[0].message}"
+        else:
+            try:
+                verdict = run_conventional_function(
+                    parsed.functions, name, max_degree=self.max_degree, budget=self.budget
+                )
+            except SourceError as exc:
+                d = from_source_error(exc)
+                detail = f"[{d.code}] {d.message}"
+            except ReproError as exc:
+                detail = f"{type(exc).__name__}: {exc}"
+            else:
+                return verdict.to_json(artifact=True)
+        return ConventionalVerdict("front-end-error", detail=detail).to_json(artifact=True)
 
     def _bound_stage(
         self, parsed: ParseResult, fps: Fingerprints, result: IncrementalResult
@@ -492,9 +422,7 @@ class IncrementalEngine:
                     result.bounds[name] = value
                     reused.append(name)
                     continue
-                fatal = self._cone_errors(
-                    result.diagnostics, fps.cone_members[name], name
-                )
+                fatal = fatal_errors(result.diagnostics, fps.cone_members[name])
                 value = self._compute_bound(parsed, name, fatal)
                 result.bounds[name] = value
                 recomputed.append(name)
@@ -527,20 +455,18 @@ def peek_conventional_verdict(
     and a miss costs next to nothing.  ``fingerprints`` are ``source``'s
     own, from a parse the caller already made (the daemon's lint gate,
     :meth:`IncrementalEngine.lint`); without them ``source`` is parsed
-    here under ``budget``.  Returns the verdict in the batch harness's
-    ``_verdict_to_json`` shape (``runtime_seconds`` pinned to 0.0: the
-    work was done in a previous editor/watch session).
+    here under ``budget``.  Returns the verdict as a task outcome records
+    it (:meth:`~repro.aara.analyze.ConventionalVerdict.to_json`, with
+    ``runtime_seconds`` 0.0: the work was done in a previous editor/watch
+    session).
     """
+    from ..aara.analyze import ConventionalVerdict
+
     engine = IncrementalEngine(store, max_degree=max_degree, budget=budget)
     fps = fingerprints
     if fps is None:
         try:
-            parsed = parse_program_ex(
-                source,
-                max_chars=getattr(budget, "max_source_chars", None),
-                max_tokens=getattr(budget, "max_tokens", None),
-                max_depth=getattr(budget, "max_nesting_depth", None),
-            )
+            parsed = parse_program_ex(source, **parse_caps(budget))
         except (LexError, ParseError):
             return None
         fps = fingerprint_functions(source, parsed)
@@ -557,11 +483,4 @@ def peek_conventional_verdict(
         or not _in_place(value, fps, root)
     ):
         return None
-    return {
-        "status": value["status"],
-        "degree": value.get("degree", 0),
-        "detail": value.get("detail", ""),
-        "runtime_seconds": 0.0,
-        "feasible_degrees": list(value.get("feasible_degrees") or ()),
-        "bound": value.get("bound"),
-    }
+    return ConventionalVerdict.from_json(value).to_json()

@@ -7,6 +7,11 @@ The normalizer promises three invariants, one per stage:
 * after **share** every variable is consumed at most once, branches
   counting as alternatives (``V003``).
 
+The operand and use-count walks are the normalizer's own
+(:func:`~repro.lang.normalize.atomic_operands`,
+:func:`~repro.lang.normalize.use_counts`), so this verifier and
+``normalize_program``'s final check agree on what the invariants mean.
+
 ``check_expr`` is wired into :func:`repro.lang.normalize.normalize_expr`
 behind the ``REPRO_VERIFY_IR`` environment variable (the test suite turns
 it on; production runs pay nothing).  Violations are reported as
@@ -22,6 +27,7 @@ from typing import Dict, List, Optional
 
 from ..errors import IRVerificationError
 from ..lang import ast as A
+from ..lang.normalize import atomic_operands, use_counts
 from .diagnostics import Diagnostic, Span
 
 #: environment variable that enables verification inside normalize
@@ -72,30 +78,10 @@ def _check_unique_binders(expr: A.Expr, context: str) -> List[Diagnostic]:
     return diags
 
 
-def _atomic_operands(node: A.Expr):
-    if isinstance(node, A.Cons):
-        return [node.head, node.tail]
-    if isinstance(node, A.TupleExpr):
-        return list(node.items)
-    if isinstance(node, (A.Inl, A.Inr)):
-        return [node.operand]
-    if isinstance(node, A.App):
-        return list(node.args)
-    if isinstance(node, A.BinOp):
-        return [node.left, node.right]
-    if isinstance(node, A.Neg):
-        return [node.operand]
-    if isinstance(node, A.If):
-        return [node.cond]
-    if isinstance(node, (A.MatchList, A.MatchSum, A.MatchTuple)):
-        return [node.scrutinee]
-    return []
-
-
 def _check_atomic(expr: A.Expr, context: str) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     for node in expr.walk():
-        for operand in _atomic_operands(node):
+        for operand in atomic_operands(node):
             if isinstance(operand, A.Var):
                 continue
             diags.append(
@@ -114,34 +100,8 @@ def _check_atomic(expr: A.Expr, context: str) -> List[Diagnostic]:
 
 
 def _check_affine(expr: A.Expr, context: str) -> List[Diagnostic]:
-    from ..lang.normalize import sequential_parts
-
     diags: List[Diagnostic] = []
-
-    def count_uses(e: A.Expr, mult: Dict[str, int]) -> None:
-        if isinstance(e, A.Var):
-            mult[e.name] = mult.get(e.name, 0) + 1
-            return
-        if isinstance(e, A.Share):
-            mult[e.name] = mult.get(e.name, 0) + 1
-            count_uses(e.body, mult)
-            return
-        parts = sequential_parts(e)
-        if parts is None:
-            return
-        groups, _rebuild = parts
-        for group in groups:
-            branch_max: Dict[str, int] = {}
-            for sub in group:
-                local: Dict[str, int] = {}
-                count_uses(sub, local)
-                for var, k in local.items():
-                    branch_max[var] = max(branch_max.get(var, 0), k)
-            for var, k in branch_max.items():
-                mult[var] = mult.get(var, 0) + k
-
-    counts: Dict[str, int] = {}
-    count_uses(expr, counts)
+    counts = use_counts(expr)
     for var in sorted(v for v, k in counts.items() if k > 1):
         diags.append(
             Diagnostic(

@@ -22,6 +22,7 @@ one JSON object for CI log scraping.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import telemetry
 from .aara import run_conventional
-from .config import AnalysisConfig
+from .config import AnalysisConfig, ExecutionBudget
 from .errors import ReproError
 from .inference import collect_dataset, run_analysis
 from .lang import ast as A
@@ -201,7 +202,6 @@ DEFAULT_INCR_CACHE = ".hybrid-aara-cache"
 def _incremental_engine(args):
     """Build the incremental engine the watch/LSP front ends share."""
     from .analysis import ArtifactStore, IncrementalEngine
-    from .config import ExecutionBudget
 
     budget = None if getattr(args, "trusted", False) else ExecutionBudget.untrusted()
     store = None
@@ -267,13 +267,9 @@ def _lint_watch(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from .analysis import (
-        dumps_sarif,
-        lint_source,
-        promote_warnings,
-        render_all_text,
-        to_json,
-    )
+    # the engine module, not lint_source itself: a wrapper installed on
+    # ``engine.lint_source`` is then honoured
+    from .analysis import dumps_sarif, engine, promote_warnings, render_all_text, to_json
 
     if args.watch:
         return _lint_watch(args)
@@ -285,7 +281,7 @@ def cmd_lint(args) -> int:
     sources = {}
     for path, source, entry in units:
         sources[path] = source
-        result = lint_source(source, path=path, entry=entry)
+        result = engine.lint_source(source, path=path, entry=entry)
         diagnostics.extend(result.diagnostics)
     if args.werror:
         diagnostics = promote_warnings(diagnostics)
@@ -702,10 +698,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import dataclasses
     import os
 
-    from .config import ExecutionBudget
     from .server.app import serve
     from .server.core import ServerConfig
 
@@ -715,23 +709,12 @@ def cmd_serve(args) -> int:
         if not sep or not key or not tenant:
             raise ReproError(f"--api-key wants KEY=TENANT, got {pair!r}")
         api_keys.append((key, tenant))
-    budget = ExecutionBudget.untrusted()
     overrides = {
-        name: getattr(args, f"budget_{name}")
-        for name in (
-            "max_source_chars",
-            "max_tokens",
-            "max_nesting_depth",
-            "eval_steps",
-            "eval_call_depth",
-            "eval_value_size",
-            "lp_variables",
-            "lp_constraints",
-        )
-        if getattr(args, f"budget_{name}") is not None
+        f.name: getattr(args, f"budget_{f.name}")
+        for f in dataclasses.fields(ExecutionBudget)
+        if getattr(args, f"budget_{f.name}") is not None
     }
-    if overrides:
-        budget = dataclasses.replace(budget, **overrides)
+    budget = dataclasses.replace(ExecutionBudget.untrusted(), **overrides)
 
     runs_dir = args.runs_dir or os.environ.get(ENV_RUNS_DIR) or "runs"
     config = ServerConfig(
@@ -1197,14 +1180,10 @@ def build_parser() -> argparse.ArgumentParser:
         "caps applied to ad-hoc 'source' submissions (defaults: the "
         "untrusted profile; registry benchmarks run unbudgeted)",
     )
-    budgets.add_argument("--budget-max-source-chars", type=int, default=None, metavar="N")
-    budgets.add_argument("--budget-max-tokens", type=int, default=None, metavar="N")
-    budgets.add_argument("--budget-max-nesting-depth", type=int, default=None, metavar="N")
-    budgets.add_argument("--budget-eval-steps", type=int, default=None, metavar="N")
-    budgets.add_argument("--budget-eval-call-depth", type=int, default=None, metavar="N")
-    budgets.add_argument("--budget-eval-value-size", type=int, default=None, metavar="N")
-    budgets.add_argument("--budget-lp-variables", type=int, default=None, metavar="N")
-    budgets.add_argument("--budget-lp-constraints", type=int, default=None, metavar="N")
+    for field in dataclasses.fields(ExecutionBudget):
+        budgets.add_argument(
+            f"--budget-{field.name.replace('_', '-')}", type=int, default=None, metavar="N"
+        )
     serve.set_defaults(func=cmd_serve)
 
     loadgen = sub.add_parser(

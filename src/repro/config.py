@@ -10,7 +10,7 @@ empirical-Bayes procedure of Appendix B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,15 @@ class ExecutionBudget:
             lp_variables=200_000,
             lp_constraints=200_000,
         )
+
+
+def parse_caps(budget: Optional[ExecutionBudget]) -> Dict[str, Optional[int]]:
+    """The parser's keyword caps under ``budget`` (all ``None`` without one)."""
+    return {
+        "max_chars": getattr(budget, "max_source_chars", None),
+        "max_tokens": getattr(budget, "max_tokens", None),
+        "max_depth": getattr(budget, "max_nesting_depth", None),
+    }
 
 
 @dataclass(frozen=True)

@@ -189,36 +189,53 @@ def expand_grid(
 # Worker-side execution (must stay module-level: it crosses the pool)
 # ---------------------------------------------------------------------------
 
+#: entries each worker-local memo keeps: a whole ``bench all`` grid
+#: needs 17 (one per program variant), and a daemon worker, which lives
+#: as long as the daemon, sees a new key for every distinct source
+MEMO_SIZE = 64
+
+
+class _Memo(collections.OrderedDict):
+    """A worker-local memo of the :data:`MEMO_SIZE` most recently used keys."""
+
+    def get_or_build(self, key, build: Callable[[], Any]) -> Any:
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        value = self[key] = build()
+        if len(self) > MEMO_SIZE:
+            self.popitem(last=False)
+        return value
+
+
 #: worker-local memoization so the 3 methods sharing one (benchmark, mode)
 #: don't recompile the program / re-interpret the runtime-data runs
-_PROGRAM_CACHE: Dict[Tuple[str, str], object] = {}
-_DATASET_CACHE: Dict[Tuple[str, str, int], object] = {}
-#: (benchmark, mode) -> lint verdict, so the lint guard runs once per
-#: worker per program variant, not once per grid cell
-_LINT_CACHE: Dict[Tuple[str, str], object] = {}
+_PROGRAM_CACHE = _Memo()
+_DATASET_CACHE = _Memo()
+#: (benchmark, mode, budget) -> lint result, so the lint guard runs once
+#: per worker per program variant, not once per grid cell
+_LINT_CACHE = _Memo()
 
 
 def _lint_guard(spec, mode: str, budget=None) -> None:
-    """Reject programs with lint *errors* before compiling them.
+    """Reject programs with fatal lint errors
+    (:func:`repro.analysis.engine.fatal_errors`) before compiling them."""
+    # the module, not the function: a wrapper installed on
+    # ``engine.lint_source`` is then honoured
+    from ..analysis import engine
 
-    Memoized alongside the program cache; boundability predictions
-    (``R042``/``R043``) are excluded — they are the conventional
-    analyzer's verdict to make (``status='unboundable'``), and data-driven
-    modes can still measure such programs.
-    """
-    from ..analysis import lint_source
+    def build():
+        source, entry = _mode_variant(spec, mode)
+        return engine.lint_source(
+            source, path=f"{spec.name}/{mode}", entry=entry, budget=budget
+        )
 
     key = (spec.name, mode, budget)
     with telemetry.span(
         "lint.guard", benchmark=spec.name, mode=mode, cached=key in _LINT_CACHE
     ):
-        if key not in _LINT_CACHE:
-            source, entry = _mode_variant(spec, mode)
-            path = f"{spec.name}/{mode}"
-            result = lint_source(source, path=path, entry=entry, budget=budget)
-            _LINT_CACHE[key] = result
-    result = _LINT_CACHE[key]
-    fatal = [d for d in result.errors() if d.code not in ("R042", "R043")]
+        result = _LINT_CACHE.get_or_build(key, build)
+    fatal = engine.fatal_errors(result.diagnostics)
     if fatal:
         first = fatal[0]
         raise LintError(
@@ -229,7 +246,7 @@ def _lint_guard(spec, mode: str, budget=None) -> None:
 
 
 #: worker-local ad-hoc spec memo: (source digest, entry, degree, budget)
-_ADHOC_CACHE: Dict[Tuple, object] = {}
+_ADHOC_CACHE = _Memo()
 
 
 def _adhoc_spec_cached(task: "EvalTask"):
@@ -237,11 +254,12 @@ def _adhoc_spec_cached(task: "EvalTask"):
     from .adhoc import adhoc_spec, source_digest
 
     key = (source_digest(task.source), task.entry, task.degree, task.config.budget)
-    if key not in _ADHOC_CACHE:
-        _ADHOC_CACHE[key] = adhoc_spec(
+    return _ADHOC_CACHE.get_or_build(
+        key,
+        lambda: adhoc_spec(
             task.source, task.entry, degree=task.degree, budget=task.config.budget
-        )
-    return _ADHOC_CACHE[key]
+        ),
+    )
 
 
 def _mode_variant(spec, mode: str) -> Tuple[str, str]:
@@ -255,6 +273,10 @@ def _mode_variant(spec, mode: str) -> Tuple[str, str]:
 def _compiled_program(spec, mode: str, budget=None):
     from ..lang import compile_program
 
+    def build():
+        _lint_guard(spec, mode, budget=budget)
+        return compile_program(_mode_variant(spec, mode)[0], budget=budget)
+
     key = (spec.name, mode, budget)
     # the span is emitted even on a memo hit (dur ≈ 0, cached=True) so
     # every cell's trace shows the full stage pipeline, not just the
@@ -262,54 +284,32 @@ def _compiled_program(spec, mode: str, budget=None):
     with telemetry.span(
         "lang.compile", benchmark=spec.name, mode=mode, cached=key in _PROGRAM_CACHE
     ):
-        if key not in _PROGRAM_CACHE:
-            _lint_guard(spec, mode, budget=budget)
-            source, _entry = _mode_variant(spec, mode)
-            _PROGRAM_CACHE[key] = compile_program(source, budget=budget)
-    return _PROGRAM_CACHE[key]
+        return _PROGRAM_CACHE.get_or_build(key, build)
 
 
 def _mode_dataset(spec, mode: str, root_seed: int, budget=None):
     from ..inference import collect_dataset
 
+    def build():
+        rng = np.random.default_rng(input_seed(root_seed, spec.name))
+        inputs = spec.inputs(rng)
+        program = _compiled_program(spec, mode, budget=budget)
+        _source, entry = _mode_variant(spec, mode)
+        return collect_dataset(program, entry, inputs, budget=budget)
+
     key = (spec.name, mode, root_seed, budget)
     with telemetry.span(
         "data.dataset", benchmark=spec.name, mode=mode, cached=key in _DATASET_CACHE
     ):
-        if key not in _DATASET_CACHE:
-            rng = np.random.default_rng(input_seed(root_seed, spec.name))
-            inputs = spec.inputs(rng)
-            program = _compiled_program(spec, mode, budget=budget)
-            _source, entry = _mode_variant(spec, mode)
-            _DATASET_CACHE[key] = collect_dataset(program, entry, inputs, budget=budget)
-    return _DATASET_CACHE[key]
-
-
-def _verdict_to_json(verdict) -> Dict[str, Any]:
-    from ..inference.serialize import bound_to_json
-
-    return {
-        "status": verdict.status,
-        "degree": verdict.degree,
-        "detail": verdict.detail,
-        "runtime_seconds": verdict.runtime_seconds,
-        "feasible_degrees": list(verdict.feasible_degrees),
-        "bound": None if verdict.bound is None else bound_to_json(verdict.bound),
-    }
+        return _DATASET_CACHE.get_or_build(key, build)
 
 
 def verdict_from_json(data: Dict[str, Any]):
+    """The :class:`~repro.aara.analyze.ConventionalVerdict` of a task
+    outcome's ``verdict`` record."""
     from ..aara.analyze import ConventionalVerdict
-    from ..inference.serialize import bound_from_json
 
-    return ConventionalVerdict(
-        status=data["status"],
-        bound=None if data.get("bound") is None else bound_from_json(data["bound"]),
-        degree=int(data.get("degree", 0)),
-        detail=data.get("detail", ""),
-        runtime_seconds=float(data.get("runtime_seconds", 0.0)),
-        feasible_degrees=tuple(data.get("feasible_degrees", ())),
-    )
+    return ConventionalVerdict.from_json(data)
 
 
 def task_outcome(task: EvalTask, **fields: Any) -> Dict[str, Any]:
@@ -399,7 +399,7 @@ def execute_task(task: EvalTask) -> Dict[str, Any]:
                         max_degree=task.conventional_max_degree,
                         budget=budget,
                     )
-                outcome["verdict"] = _verdict_to_json(verdict)
+                outcome["verdict"] = verdict.to_json()
                 outcome["ok"] = True
             else:
                 from ..inference import run_analysis

@@ -14,6 +14,7 @@ The canonical pipeline is :func:`compile_program`:
 3.0
 """
 
+from ..config import parse_caps
 from . import ast
 from .interp import EvalResult, Interpreter, StatRecord, evaluate, run_on_inputs
 from .normalize import normalize_program
@@ -28,12 +29,7 @@ def compile_program(source: str, budget=None) -> ast.Program:
     ``budget`` (an :class:`~repro.config.ExecutionBudget`) caps the
     front end for untrusted source; ``None`` keeps the trusted path.
     """
-    program = parse_program(
-        source,
-        max_chars=getattr(budget, "max_source_chars", None),
-        max_tokens=getattr(budget, "max_tokens", None),
-        max_depth=getattr(budget, "max_nesting_depth", None),
-    )
+    program = parse_program(source, **parse_caps(budget))
     program = normalize_program(program)
     return typecheck_program(program)
 

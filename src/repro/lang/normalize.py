@@ -432,6 +432,22 @@ def normalize_program(program: A.Program) -> A.Program:
 
 def _check_normal_form(expr: A.Expr) -> None:
     """Internal invariant check: affine variables + atomic operands."""
+    for var, k in use_counts(expr).items():
+        if k > 1:
+            raise ReproError(f"normal-form violation: {var!r} used {k} times")
+
+    for node in expr.walk():
+        for atomic in atomic_operands(node):
+            if not isinstance(atomic, A.Var):
+                raise ReproError(
+                    f"normal-form violation: non-variable operand {type(atomic).__name__}"
+                )
+
+
+def use_counts(expr: A.Expr) -> Dict[str, int]:
+    """How many times each variable is consumed in ``expr``: a ``share``
+    consumes its source once, sequential parts add up, and alternatives
+    (branches) count as their maximum."""
     counts: Dict[str, int] = {}
 
     def count_uses(e: A.Expr, mult: Dict[str, int]) -> None:
@@ -457,19 +473,11 @@ def _check_normal_form(expr: A.Expr) -> None:
                 mult[var] = mult.get(var, 0) + k
 
     count_uses(expr, counts)
-    for var, k in counts.items():
-        if k > 1:
-            raise ReproError(f"normal-form violation: {var!r} used {k} times")
-
-    for node in expr.walk():
-        for atomic in _atomic_operands(node):
-            if not isinstance(atomic, A.Var):
-                raise ReproError(
-                    f"normal-form violation: non-variable operand {type(atomic).__name__}"
-                )
+    return counts
 
 
-def _atomic_operands(node: A.Expr):
+def atomic_operands(node: A.Expr) -> List[A.Expr]:
+    """The operands A-normal form requires to be variables in ``node``."""
     if isinstance(node, A.Cons):
         return [node.head, node.tail]
     if isinstance(node, A.TupleExpr):

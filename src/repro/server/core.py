@@ -71,16 +71,10 @@ class _SourceGate:
 
     def __call__(self, source: str, entry: Optional[str]) -> None:
         from ..analysis.diagnostics import to_json as diagnostics_json
+        from ..analysis.engine import fatal_errors
 
         front = self.core.engine.lint(source, path="<request>", entry=entry)
-        # boundability predictions (R042/R043) are the analyzer's verdict
-        # to make, exactly as in the batch harness's lint guard — the
-        # data-driven methods can still measure such programs
-        errors = [
-            d
-            for d in front.diagnostics
-            if d.severity == "error" and d.code not in ("R042", "R043")
-        ]
+        errors = fatal_errors(front.diagnostics)
         if errors:
             raise LintRejection(
                 f"source rejected by lint: {len(errors)} error(s), "

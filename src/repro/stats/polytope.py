@@ -12,7 +12,7 @@ points via the Chebyshev center.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 from scipy.linalg import null_space
@@ -195,13 +195,9 @@ def find_implied_equalities(A, b, tol: float = 1e-9):
     return sorted(implied), interior
 
 
-def polytope_from_lp(
-    problem: LPProblem,
-    nonneg: bool = True,
-    var_order: Optional[Sequence[str]] = None,
-    max_facial_rounds: int = 4,
-) -> ReducedPolytope:
-    """Convert an LP's feasible region into a *full-dimensional* polytope.
+def polytope_from_lp(problem: LPProblem) -> ReducedPolytope:
+    """Convert an LP's feasible region (its variables non-negative) into a
+    *full-dimensional* polytope.
 
     Equality constraints are eliminated exactly (``x = x0 + N z`` with
     ``N`` a nullspace basis).  Inequalities that hold with equality on the
@@ -211,7 +207,7 @@ def polytope_from_lp(
     polytope has nonempty interior.  This matches the preprocessing that
     polytope samplers such as Volesti perform before reflective HMC.
     """
-    A_ub, b_ub, A_eq, b_eq, index = problem.to_matrices(extra_vars=var_order or ())
+    A_ub, b_ub, A_eq, b_eq, index = problem.to_matrices()
     # C0 is small (the suite's largest is a few thousand rows by a few
     # hundred columns), and the reduction below is dense linear algebra
     # (lstsq, null_space, row norms)
@@ -220,11 +216,10 @@ def polytope_from_lp(
     for name, col in index.items():
         names[col] = name
     n = len(names)
-    if nonneg:
-        A_ub = np.vstack([A_ub, -np.eye(n)]) if A_ub.size else -np.eye(n)
-        b_ub = np.concatenate([b_ub, np.zeros(n)]) if b_ub.size else np.zeros(n)
+    A_ub = np.vstack([A_ub, -np.eye(n)]) if A_ub.size else -np.eye(n)
+    b_ub = np.concatenate([b_ub, np.zeros(n)]) if b_ub.size else np.zeros(n)
 
-    for _round in range(max_facial_rounds):
+    for _round in range(4):  # facial-reduction rounds before giving up
         A_z, b_z, x0, N, kept = _reduce_once(A_ub, b_ub, A_eq, b_eq, n)
         if N.shape[1] == 0:
             reduced = Polytope(np.zeros((0, 0)), np.zeros(0), [])

@@ -91,3 +91,53 @@ class TestCLI:
         src.write_text("let f = ")
         assert main(["static", str(src), "--entry", "f"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+#: ``serve``'s execution-budget flags, one per ExecutionBudget field
+BUDGET_FLAGS = (
+    "--budget-max-source-chars",
+    "--budget-max-tokens",
+    "--budget-max-nesting-depth",
+    "--budget-eval-steps",
+    "--budget-eval-call-depth",
+    "--budget-eval-value-size",
+    "--budget-lp-variables",
+    "--budget-lp-constraints",
+)
+
+
+class TestServeBudgetFlags:
+    def _served_budget(self, monkeypatch, tmp_path, argv):
+        import repro.server.app as app
+
+        seen = []
+        monkeypatch.setattr(app, "serve", lambda config: seen.append(config) or 0)
+        assert main(["serve", "--runs-dir", str(tmp_path), *argv]) == 0
+        (config,) = seen
+        return config.budget
+
+    def test_defaults_are_the_untrusted_profile(self, monkeypatch, tmp_path):
+        from repro.config import ExecutionBudget
+
+        budget = self._served_budget(monkeypatch, tmp_path, [])
+        assert budget == ExecutionBudget.untrusted()
+
+    @pytest.mark.parametrize("flag", BUDGET_FLAGS)
+    def test_each_flag_overrides_exactly_its_field(self, monkeypatch, tmp_path, flag):
+        import dataclasses
+
+        from repro.config import ExecutionBudget
+
+        budget = self._served_budget(monkeypatch, tmp_path, [flag, "7"])
+        name = flag[len("--budget-"):].replace("-", "_")
+        assert budget == dataclasses.replace(ExecutionBudget.untrusted(), **{name: 7})
+
+    def test_help_lists_the_eight_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        listed = [
+            word
+            for word in capsys.readouterr().out.split()
+            if word.startswith("--budget-")
+        ]
+        assert listed == list(BUDGET_FLAGS)

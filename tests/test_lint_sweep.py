@@ -218,15 +218,16 @@ def test_lint_guard_is_memoized_per_program(monkeypatch):
     from repro.suite import get_benchmark
 
     calls = []
-    import repro.analysis as analysis_mod
+    # the guard looks lint_source up on the engine module at call time
+    import repro.analysis.engine as engine_mod
 
-    real = analysis_mod.lint_source
+    real = engine_mod.lint_source
 
     def counting(source, path="<input>", entry=None, budget=None):
         calls.append(path)
         return real(source, path=path, entry=entry, budget=budget)
 
-    monkeypatch.setattr(analysis_mod, "lint_source", counting)
+    monkeypatch.setattr(engine_mod, "lint_source", counting)
     runner_mod._PROGRAM_CACHE.clear()
     runner_mod._LINT_CACHE.clear()
     spec = get_benchmark("Round")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.verify_ir import verify_expr
 from repro.errors import ReproError
 from repro.lang import ast as A
 from repro.lang import compile_program, evaluate, from_python
@@ -17,6 +18,13 @@ from repro.lang.types import typecheck_program
 
 def normal(src: str) -> A.Expr:
     return normalize_expr(parse_expr(src))
+
+
+#: expressions that break share-let normal form, one per invariant
+BROKEN_IR = {
+    "duplicate-use": A.BinOp("+", A.Var("x"), A.Var("x")),
+    "non-variable-operand": A.Cons(A.IntLit(1), A.Nil()),
+}
 
 
 class TestANF:
@@ -83,14 +91,21 @@ class TestInvariantChecker:
             _check_normal_form(normal(src))
 
     def test_rejects_duplicate_use(self):
-        bad = A.BinOp("+", A.Var("x"), A.Var("x"))
+        bad = BROKEN_IR["duplicate-use"]
         with pytest.raises(ReproError):
             _check_normal_form(bad)
 
     def test_rejects_non_variable_operand(self):
-        bad = A.Cons(A.IntLit(1), A.Nil())
+        bad = BROKEN_IR["non-variable-operand"]
         with pytest.raises(ReproError):
             _check_normal_form(bad)
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_IR))
+    def test_ir_verifier_rejects_what_the_final_check_rejects(self, name):
+        # the two checks run the same normal-form walks
+        with pytest.raises(ReproError):
+            _check_normal_form(BROKEN_IR[name])
+        assert verify_expr(BROKEN_IR[name], "share") != []
 
     def test_normalize_program_checks_all_functions(self):
         prog = parse_program("let f x = x + x\nlet g y = f (f y)")
